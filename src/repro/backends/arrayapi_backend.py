@@ -94,12 +94,11 @@ class ArrayAPIBackend(KernelBackend):
         xp = self._xp(arr, idx)
         return xp.take(xp.asarray(arr), xp.asarray(idx), axis=0)
 
-    def scatter_accumulate(self, buf, positions, values, *,
-                           return_touched: bool = False):
+    def scatter_accumulate(self, buf, positions, values) -> None:
         xp = self._xp(buf, positions)
         positions = xp.asarray(positions)
         if positions.shape[0] == 0:
-            return positions if return_touched else None
+            return
         if np.ndim(values) == 0:
             values = xp.full(positions.shape, values, dtype=buf.dtype)
         else:
@@ -108,7 +107,6 @@ class ArrayAPIBackend(KernelBackend):
         # duplicates so a plain fancy-index accumulate is race-free.
         uniq, sums = self.hash_accumulate(positions, values)
         buf[uniq] = buf[uniq] + xp.astype(sums, buf.dtype)
-        return uniq if return_touched else None
 
     def gemm_slices(self, a, b):
         xp = self._xp(a, b)

@@ -99,13 +99,10 @@ class KernelBackend:
         """``arr[idx]`` for an integer index array."""
         raise NotImplementedError
 
-    def scatter_accumulate(self, buf, positions, values, *,
-                           return_touched: bool = False):
+    def scatter_accumulate(self, buf, positions, values) -> None:
         """``buf[positions] += values`` with in-batch duplicates combined.
 
-        ``values`` may be a scalar (broadcast).  With ``return_touched``
-        the sorted unique updated positions are returned (the dense
-        accumulator's freshness bookkeeping); otherwise ``None``.
+        ``values`` may be a scalar (broadcast).
         """
         raise NotImplementedError
 

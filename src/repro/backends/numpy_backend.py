@@ -5,12 +5,9 @@ inline in ``core/accumulators.py`` and the tiled CO kernel, preserved
 bit-for-bit:
 
 * ``scatter_accumulate`` keeps the batch-size heuristic the dense
-  accumulator shipped with — one ``np.bincount`` pass for batches that
-  touch a significant fraction of the tile (the unbuffered scatter of
-  ``np.add.at`` serializes on duplicates), ``np.add.at`` otherwise.
-  Both variants sum duplicates in input order, so the float results are
-  identical; the differential harness asserts the library's output is
-  unchanged by the refactor.
+  accumulator shipped with — one ``np.bincount`` pass for batches of at
+  least an eighth of the tile, ``np.add.at`` otherwise.  The switch is
+  part of the reference's per-cell summation order.
 * ``hash_accumulate`` is :func:`repro.util.groups.segment_sum` — the
   sort + ``reduceat`` reduction the workspace-free paths always used.
 
@@ -55,28 +52,19 @@ class NumpyBackend(KernelBackend):
     def gather(self, arr, idx):
         return arr[idx]
 
-    def scatter_accumulate(self, buf, positions, values, *,
-                           return_touched: bool = False):
+    def scatter_accumulate(self, buf, positions, values) -> None:
         positions = np.asarray(positions, dtype=INDEX_DTYPE)
         n = positions.shape[0]
         if n == 0:
-            return positions if return_touched else None
-        if np.ndim(values) == 0:
-            # Scalar broadcast (histogram counting, e.g. chained-bucket
-            # length tallies); duplicates must still each contribute.
-            np.add.at(buf, positions, values)
-            return np.unique(positions) if return_touched else None
-        cells = buf.shape[0]
-        if n >= cells // 8:
+            return
+        if np.ndim(values) and n >= buf.shape[0] // 8:
             # Large batch: one dense bincount pass beats the unbuffered
             # scatter of np.add.at (which serializes on duplicates).
-            buf += np.bincount(positions, weights=values, minlength=cells)
-            if not return_touched:
-                return None
-            hit = np.bincount(positions, minlength=cells).astype(bool)
-            return np.flatnonzero(hit).astype(INDEX_DTYPE)
-        np.add.at(buf, positions, values)
-        return np.unique(positions) if return_touched else None
+            buf += np.bincount(positions, weights=values, minlength=buf.shape[0])
+        else:
+            # Also the scalar broadcast (histogram counting, e.g.
+            # chained-bucket length tallies): every duplicate contributes.
+            np.add.at(buf, positions, values)
 
     def gemm_slices(self, a, b):
         return np.matmul(a, b)

@@ -29,6 +29,7 @@ from repro.backends.base import KernelBackend
 from repro.errors import ConfigError, ShapeError, WorkspaceLimitError
 from repro.hashing.open_addressing import OpenAddressingMap
 from repro.util.arrays import INDEX_DTYPE, VALUE_DTYPE
+from repro.util.groups import group_boundaries
 
 
 def _default_backend() -> KernelBackend:
@@ -59,7 +60,7 @@ class DenseTileAccumulator:
     """
 
     __slots__ = ("tile_l", "tile_r", "buf", "bm", "apos", "_napos", "counters",
-                 "_packed", "trace", "backend")
+                 "_packed", "_scratch", "trace", "backend")
 
     def __init__(
         self,
@@ -92,6 +93,7 @@ class DenseTileAccumulator:
             self.bm = PackedBitmask(cells)
         else:
             self.bm = np.zeros(cells, dtype=bool)
+            self._scratch = np.zeros(cells, dtype=bool)  # see update_batch
         self.apos = np.empty(min(cells, 1024), dtype=INDEX_DTYPE)
         self._napos = 0
         self.counters = ensure_counters(counters)
@@ -113,8 +115,8 @@ class DenseTileAccumulator:
         The scatter itself (duplicate handling, the batch-size
         heuristic) lives in the backend's ``scatter_accumulate``; this
         method keeps the bookkeeping: fresh positions — bit not yet
-        set — are appended to ``apos`` exactly once even when repeated
-        within the batch.
+        set, so every position on a tile's first batch — are appended to
+        ``apos`` exactly once even when repeated, in ascending order.
         """
         positions = np.asarray(positions, dtype=INDEX_DTYPE)
         values = np.asarray(values, dtype=VALUE_DTYPE)
@@ -125,23 +127,25 @@ class DenseTileAccumulator:
         self.counters.accum_updates += positions.shape[0]
         if self.trace is not None:
             self.trace.record(positions)
+        self.backend.scatter_accumulate(self.buf, positions, values)
         if self._packed:
-            self.backend.scatter_accumulate(self.buf, positions, values)
             fresh_mask = self.bm.test_and_set(positions)
             if fresh_mask.any():
                 self._append_apos(positions[fresh_mask])
             return
-        touched = self.backend.scatter_accumulate(
-            self.buf, positions, values, return_touched=True
-        )
-        if not self.backend.native_numpy:
-            touched = np.asarray(
-                self.backend.to_numpy(touched), dtype=INDEX_DTYPE
-            )
-        fresh = touched[~self.bm[touched]]
-        if fresh.shape[0]:
-            self.bm[fresh] = True
-            self._append_apos(fresh)
+        fresh = positions[~self.bm[positions]] if self._napos else positions
+        if not fresh.shape[0]:
+            return
+        if fresh.shape[0] * 8 < self.cells:
+            fresh = group_boundaries(np.sort(fresh))[0]
+        else:
+            # Many fresh cells: marking and scanning a reused scratch
+            # mask beats sorting them.
+            self._scratch[fresh] = True
+            fresh = np.flatnonzero(self._scratch)
+            self._scratch[fresh] = False
+        self.bm[fresh] = True
+        self._append_apos(fresh)
 
     def _append_apos(self, fresh: np.ndarray) -> None:
         need = self._napos + fresh.shape[0]
@@ -165,7 +169,7 @@ class DenseTileAccumulator:
     def _read_buf(self, positions: np.ndarray) -> np.ndarray:
         """Gather buffer cells as a fresh NumPy value array."""
         if self.backend.native_numpy:
-            return self.buf[positions].copy()
+            return self.buf[positions]
         gathered = self.backend.gather(self.buf, positions)
         return np.array(self.backend.to_numpy(gathered), dtype=VALUE_DTYPE)
 

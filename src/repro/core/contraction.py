@@ -169,9 +169,10 @@ def contract(
         )
 
     t0 = time.perf_counter()
-    out = spec.delinearize_output(l_idx, r_idx, values)
     if canonical:
-        out = out.sum_duplicates()
+        _, out = spec.canonical_output(l_idx, r_idx, values)
+    else:
+        out = spec.delinearize_output(l_idx, r_idx, values)
     stats.phase_seconds["linearize"] = linearize_seconds
     stats.phase_seconds["delinearize"] = time.perf_counter() - t0
     stats.output_nnz = out.nnz

@@ -19,8 +19,8 @@ import numpy as np
 from repro.errors import PlanError, ShapeError
 from repro.tensors.coo import COOTensor
 from repro.tensors.linearize import ModeLinearizer
-from repro.util.arrays import INDEX_DTYPE
-from repro.util.groups import segment_sum
+from repro.util.arrays import as_index_array, as_value_array
+from repro.util.groups import group_boundaries, segment_sum
 
 __all__ = ["ContractionSpec", "LinearizedOperand", "Plan"]
 
@@ -63,6 +63,21 @@ class LinearizedOperand:
             ext_extent=self.ext_extent,
             con_extent=self.con_extent,
         )
+
+
+def _counting_sort(
+    keys: np.ndarray, values: np.ndarray, cells: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sort unique ``keys`` in ``[0, cells)`` with their ``values`` by
+    marking and scanning the cells; ``None`` if any key repeats."""
+    hit = np.zeros(cells, dtype=bool)
+    hit[keys] = True
+    present = np.flatnonzero(hit)
+    if present.size != keys.size:
+        return None
+    dense = np.empty(cells, dtype=values.dtype)
+    dense[keys] = values
+    return present, dense[present]
 
 
 class ContractionSpec:
@@ -119,6 +134,7 @@ class ContractionSpec:
         self.output_shape = tuple(self.left_shape[m] for m in self.left_external) + tuple(
             self.right_shape[m] for m in self.right_external
         )
+        self.lin_out = ModeLinearizer(self.output_shape)
 
     # ------------------------------------------------------------------
 
@@ -157,14 +173,45 @@ class ContractionSpec:
         con = self.lin_c.encode(tensor.coords[[b for _, b in self.pairs], :])
         return LinearizedOperand(ext, con, tensor.values, self.R, self.C)
 
+    def output_keys(self, l_idx: np.ndarray, r_idx: np.ndarray) -> np.ndarray:
+        """``l * R + r``: the row-major linear index over ``output_shape``
+        (the output modes are the left externals, then the right ones)."""
+        return as_index_array(l_idx) * np.int64(self.R) + as_index_array(r_idx)
+
     def delinearize_output(
         self, l_idx: np.ndarray, r_idx: np.ndarray, values: np.ndarray
     ) -> COOTensor:
         """Expand linearized output coordinates back to tensor modes."""
-        l_coords = self.lin_l.decode(np.asarray(l_idx, dtype=INDEX_DTYPE))
-        r_coords = self.lin_r.decode(np.asarray(r_idx, dtype=INDEX_DTYPE))
-        coords = np.vstack([l_coords, r_coords])
+        coords = self.lin_out.decode(self.output_keys(l_idx, r_idx))
         return COOTensor(coords, values, self.output_shape, check=False)
+
+    def canonical_output(
+        self, l_idx: np.ndarray, r_idx: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, COOTensor]:
+        """The output in canonical (row-major sorted, unique) COO order.
+
+        One sort on :meth:`output_keys` and one decode.  The sort counts
+        over the cells when the output fills at least a quarter of them,
+        and is a stable argsort otherwise; colliding keys (baselines,
+        foreign backends) are summed in stable sorted order, as
+        :meth:`COOTensor.sum_duplicates` does.  Returns ``(keys, tensor)``,
+        the unique sorted keys aligned with the tensor's columns.
+        """
+        keys = self.output_keys(l_idx, r_idx)
+        values = as_value_array(values)
+        cells = self.L * self.R
+        dense_output = cells <= 4 * keys.size
+        counted = _counting_sort(keys, values, cells) if dense_output else None
+        if counted is not None:
+            keys, values = counted
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+            if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+                keys, offsets = group_boundaries(keys)
+                values = np.add.reduceat(values, offsets[:-1])
+        coords = self.lin_out.decode(keys)
+        return keys, COOTensor(coords, values, self.output_shape, check=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -89,7 +89,9 @@ def semiring_contract(
     which for (min, +) is the usual "missing edge = infinite distance"
     convention.  Input duplicates are ⊕-combined first.
 
-    Mode semantics match :func:`repro.core.contraction.contract`.
+    Mode semantics match :func:`repro.core.contraction.contract`.  The
+    ⊕-reduction sorts on the output key ``l * R + r``, so the output is
+    always canonical; ``canonical`` is kept for parity with ``contract``.
     """
     if isinstance(semiring, str):
         if semiring not in _NAMED:
@@ -128,13 +130,10 @@ def semiring_contract(
     uniq, offsets = group_boundaries(sorted_keys)
     sums = semiring.add.reduceat(sorted_vals, offsets[:-1])
 
-    out = spec.delinearize_output(
-        uniq // np.int64(right_op.ext_extent),
-        uniq % np.int64(right_op.ext_extent),
-        np.asarray(sums, dtype=np.float64),
-    )
+    out = COOTensor(spec.lin_out.decode(uniq), np.asarray(sums, dtype=np.float64),
+                    spec.output_shape, check=False)
     counters.output_nnz += out.nnz
-    return out.sum_duplicates() if canonical and semiring is PLUS_TIMES else out
+    return out
 
 
 def _reduce_duplicates(op, semiring: Semiring, con_extent: int):

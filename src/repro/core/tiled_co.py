@@ -17,8 +17,8 @@ independent task:
    concatenates builders at the end.
 
 The per-``c`` outer products of all matched keys are expanded with the
-vectorized :func:`repro.util.groups.grouped_cartesian` kernel in bounded
-chunks, so peak extra memory is ``O(chunk_pairs)`` regardless of how many
+repeat-based :func:`repro.util.groups.grouped_pairs` in bounded chunks,
+so peak extra memory is ``O(chunk_pairs)`` regardless of how many
 multiply-accumulates a tile performs.
 """
 
@@ -40,7 +40,7 @@ from repro.hashing.slice_table import SliceTable
 from repro.parallel.memory_pool import COOBuilder
 from repro.parallel.taskqueue import TaskQueue
 from repro.util.arrays import ceil_div
-from repro.util.groups import grouped_cartesian
+from repro.util.groups import grouped_pairs
 
 __all__ = [
     "TiledTables",
@@ -329,50 +329,47 @@ def tiled_co_contract(
             acc, builder = get_state()
             acc.reset()
             # Co-iteration: scan HL_i's own keys, hash-probe HR_j.
-            keys_l = hl_i.keys()
-            found, starts_r, counts_r = hr_j.query_batch(keys_l)
-            starts_l, counts_l = hl_i.spans_for_all_keys()
-            sel = found
-            if not sel.any():
+            found, starts_r, counts_r = hr_j.query_batch(
+                hl_i.keys(), counters=counters
+            )
+            if not found.any():
                 return
-            g_sl = starts_l[sel]
-            g_cl = counts_l[sel]
-            g_sr = starts_r[sel]
-            g_cr = counts_r[sel]
+            starts_l, counts_l = hl_i.spans_for_all_keys()
+            g_sl, g_cl, g_sr, g_cr = (
+                a[found] for a in (starts_l, counts_l, starts_r, counts_r)
+            )
             counters.data_volume += int(g_cl.sum() + g_cr.sum())
 
             idx_l_payload, vals_l = hl_i.payload
             idx_r_payload, vals_r = hr_j.payload
 
-            # Expand matched outer products in bounded chunks of groups.
-            pair_counts = g_cl * g_cr
-            cum = np.cumsum(pair_counts)
-            chunk_start = 0
-            n_groups = pair_counts.shape[0]
-            base = 0
-            while chunk_start < n_groups:
-                limit = base + chunk_pairs
-                chunk_end = int(np.searchsorted(cum, limit, side="right"))
-                chunk_end = max(chunk_end, chunk_start + 1)
-                sl = slice(chunk_start, chunk_end)
-                ia, ib = grouped_cartesian(g_sl[sl], g_cl[sl], g_sr[sl], g_cr[sl])
-                if ia.shape[0]:
-                    positions = (
-                        backend.gather(idx_l_payload, ia) * tile_r_np
-                        + backend.gather(idx_r_payload, ib)
-                    )
-                    vals = backend.multiply(
-                        backend.gather(vals_l, ia), backend.gather(vals_r, ib)
-                    )
-                    acc.update_batch(positions, vals)
-                base = int(cum[chunk_end - 1])
-                chunk_start = chunk_end
+            # Expand matched outer products in bounded chunks of groups,
+            # gathering left payload once per left element and repeating
+            # it across its group's right slice.
+            cum = np.cumsum(g_cl * g_cr)
+            lo = 0
+            while lo < cum.shape[0]:
+                base = int(cum[lo - 1]) if lo else 0
+                hi = int(np.searchsorted(cum, base + chunk_pairs, side="right"))
+                hi = max(hi, lo + 1)
+                elems_l, reps, ib = grouped_pairs(
+                    g_sl[lo:hi], g_cl[lo:hi], g_sr[lo:hi], g_cr[lo:hi]
+                )
+                pos_l = backend.gather(idx_l_payload, elems_l) * tile_r_np
+                positions = np.repeat(pos_l, reps) + backend.gather(idx_r_payload, ib)
+                vals = backend.multiply(
+                    np.repeat(backend.gather(vals_l, elems_l), reps),
+                    backend.gather(vals_r, ib),
+                )
+                acc.update_batch(positions, vals)
+                lo = hi
 
             # Drain: intra-tile positions back to global output indices.
             positions, values = acc.drain()
             if positions.shape[0]:
-                l_global = np.int64(i) * tile_l + positions // tile_r_np
-                r_global = np.int64(j) * tile_r + positions % tile_r_np
+                rows = positions // tile_r_np
+                l_global = np.int64(i) * tile_l + rows
+                r_global = positions - (rows * tile_r_np - np.int64(j) * tile_r)
                 builder.append_batch(l_global, r_global, values)
                 counters.output_nnz += positions.shape[0]
 

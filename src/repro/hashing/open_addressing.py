@@ -140,11 +140,14 @@ class OpenAddressingMap:
             raise FormatError("keys must be nonnegative (negative is the sentinel)")
         return keys
 
-    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _locate(
+        self, keys: np.ndarray, counters: Counters | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Find slots for existing keys without modifying the table.
 
         Returns ``(slots, found)``; ``slots`` is meaningful only where
-        ``found`` is true.
+        ``found`` is true.  Probes are charged to ``counters`` (default:
+        the table's own).
         """
         n = keys.shape[0]
         mask = np.uint64(self.capacity - 1)
@@ -166,7 +169,7 @@ class OpenAddressingMap:
             if pending.size:
                 k += 1
                 slots[pending] = self._advance(base[pending], k, mask)
-        self.counters.probes += probes
+        (self.counters if counters is None else counters).probes += probes
         return slots, found
 
     def _locate_or_claim(
@@ -281,16 +284,19 @@ class OpenAddressingMap:
         self._values[slots] = values[last_pos]
 
     def get_batch(
-        self, keys: np.ndarray, default=0
+        self, keys: np.ndarray, default=0, *, counters: Counters | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Look up many keys; returns ``(values, found_mask)``.
 
         Missing keys yield ``default``.  Counted as one hash query per
-        key (the paper's query metric).
+        key (the paper's query metric), charged to ``counters`` when
+        given — the calling contraction of a table built by another —
+        and to the table's own counters otherwise.
         """
         keys = self._check_keys(keys)
-        self.counters.hash_queries += keys.shape[0]
-        slots, found = self._locate(keys)
+        counters = self.counters if counters is None else counters
+        counters.hash_queries += keys.shape[0]
+        slots, found = self._locate(keys, counters)
         out = np.full(keys.shape[0], default, dtype=self._values.dtype)
         out[found] = self._values[slots[found]]
         return out, found

@@ -105,17 +105,20 @@ class SliceTable:
         return self._idx[sl], self._values[sl]
 
     def query_batch(
-        self, keys: np.ndarray
+        self, keys: np.ndarray, *, counters: Counters | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hash-lookup many keys at once.
 
         Returns ``(found_mask, starts, counts)``: for each queried key,
         whether it has a slice and the slice's span in the payload
         arrays (``starts``/``counts`` are zero where not found).  The
-        spans feed :func:`repro.util.groups.grouped_cartesian` directly.
+        spans feed :func:`repro.util.groups.grouped_pairs` directly.
+        ``counters`` receives the lookups' ``hash_queries``/``probes``
+        (default: the counters the table was built with), so a cached
+        table's queries are charged to the contraction that runs them.
         """
         keys = as_index_array(keys)
-        gi, found = self._lookup.get_batch(keys)
+        gi, found = self._lookup.get_batch(keys, counters=counters)
         starts = np.zeros(keys.shape[0], dtype=INDEX_DTYPE)
         counts = np.zeros(keys.shape[0], dtype=INDEX_DTYPE)
         g = gi[found]

@@ -125,5 +125,7 @@ class COOBuilder:
         parts = [p for p in parts if p[0].shape[0]]
         if not parts:
             return COOBuilder().finalize()
+        if len(parts) == 1:  # one worker: its finalized arrays are fresh
+            return parts[0]
         ls, rs, vs = zip(*parts)
         return np.concatenate(ls), np.concatenate(rs), np.concatenate(vs)

@@ -420,9 +420,10 @@ class ContractionRuntime:
             )
 
         t0 = time.perf_counter()
-        out = spec.delinearize_output(l_idx, r_idx, values)
         if canonical:
-            out = out.sum_duplicates()
+            _, out = spec.canonical_output(l_idx, r_idx, values)
+        else:
+            out = spec.delinearize_output(l_idx, r_idx, values)
         stats.phase_seconds["delinearize"] = time.perf_counter() - t0
         stats.phase_seconds["linearize"] = lin_l_s + lin_r_s
         stats.output_nnz = out.nnz

@@ -295,98 +295,36 @@ class IncrementalEngine:
         self, state: StreamState,
         l_idx: np.ndarray, r_idx: np.ndarray, values: np.ndarray,
     ) -> None:
-        """Sort rows into row-major output order and refresh the output.
+        """Canonicalize rows into row-major output order and refresh the output.
 
-        Output positions are unique (disjoint tile pairs, unique drains
-        within each task), so sorting by the combined index ``l * R +
-        r`` fully canonicalizes the representation — the thread/merge
-        order of the producing tasks is erased, which is what makes
-        patched and from-scratch outputs comparable bit-for-bit — and
-        the delinearized tensor is already in canonical COO order, so
-        no duplicate-merging pass is needed.  Rows and ``state.output``
-        columns stay index-aligned (patching relies on it).
+        Sorting by the combined index ``l * R + r`` erases the
+        thread/merge order of the producing tasks, which is what makes
+        patched and from-scratch outputs comparable bit-for-bit.  Rows
+        and ``state.output`` columns stay index-aligned (patching relies
+        on it).
         """
-        combined = l_idx * np.int64(state.spec.R) + r_idx
-        order = np.argsort(combined, kind="stable")
-        state.l_idx = l_idx[order]
-        state.r_idx = r_idx[order]
-        state.values = values[order]
-        out = state.spec.delinearize_output(state.l_idx, state.r_idx, state.values)
-        if combined.size > 1 and not np.all(np.diff(combined[order]) > 0):
-            # Colliding output keys (no tiled kernel produces these, but
-            # a foreign backend could): canonicalize the slow way and
-            # re-derive the rows so alignment holds.
-            out = out.sum_duplicates()
-            self._rows_from_output(state, out)
-            return
-        state.output = out
-
-    def _rows_from_output(self, state: StreamState, out: COOTensor) -> None:
-        """Re-derive the linearized row arrays from a canonical output."""
-        n_left = len(state.spec.left_external)
-        state.l_idx = state.spec.lin_l.encode(out.coords[:n_left, :])
-        state.r_idx = state.spec.lin_r.encode(out.coords[n_left:, :])
-        state.values = out.values
-        state.output = out
+        keys, state.output = state.spec.canonical_output(l_idx, r_idx, values)
+        R = np.int64(state.spec.R)
+        state.l_idx = keys // R
+        state.r_idx = keys - state.l_idx * R
+        state.values = state.output.values
 
     def _merge_rows(
         self, state: StreamState, keep: np.ndarray,
         l_new: np.ndarray, r_new: np.ndarray, v_new: np.ndarray,
     ) -> None:
-        """Splice freshly contracted rows into the kept (sorted) rows.
+        """Replace the rows outside ``keep`` with freshly contracted ones.
 
-        The kept rows are a subsequence of an already-canonical store,
-        so one sort of the (small) new block plus a linear merge
-        replaces the full re-sort — and the output tensor's coordinate
-        columns are spliced the same way, skipping the full-output
-        delinearization.  Falls back to :meth:`_store_rows` if the new
-        block collides with a kept key (never the case for disjoint
-        tile patches; kept for safety).
+        The kept rows are already in canonical order, so the canonical
+        sort of kept-then-new rows is a merge of two sorted runs; a new
+        row colliding with a kept one (no disjoint tile patch makes one)
+        is summed rather than lost.
         """
-        R = np.int64(state.spec.R)
-        order = np.argsort(l_new * R + r_new, kind="stable")
-        l_new, r_new, v_new = l_new[order], r_new[order], v_new[order]
-        new_combined = l_new * R + r_new
-        kept_l = state.l_idx[keep]
-        kept_r = state.r_idx[keep]
-        kept_combined = kept_l * R + kept_r
-        unique_new = new_combined.size <= 1 or bool(
-            np.all(np.diff(new_combined) > 0)
-        )
-        pos = np.searchsorted(kept_combined, new_combined)
-        hit = pos < kept_combined.size
-        collides = bool(
-            np.any(new_combined[hit] == kept_combined[pos[hit]])
-        )
-        if not unique_new or collides:
-            self._store_rows(
-                state,
-                np.concatenate([kept_l, l_new]),
-                np.concatenate([kept_r, r_new]),
-                np.concatenate([state.values[keep], v_new]),
-            )
-            return
-        assert state.output is not None
-        total = kept_combined.size + new_combined.size
-        new_at = np.zeros(total, dtype=bool)
-        new_at[pos + np.arange(new_combined.size)] = True
-
-        def splice(kept_arr, new_arr):
-            merged = np.empty(total, dtype=kept_arr.dtype)
-            merged[~new_at] = kept_arr
-            merged[new_at] = new_arr
-            return merged
-
-        state.l_idx = splice(kept_l, l_new)
-        state.r_idx = splice(kept_r, r_new)
-        state.values = splice(state.values[keep], v_new)
-        kept_coords = state.output.coords[:, keep]
-        new_coords = state.spec.delinearize_output(l_new, r_new, v_new).coords
-        coords = np.empty((kept_coords.shape[0], total), dtype=kept_coords.dtype)
-        coords[:, ~new_at] = kept_coords
-        coords[:, new_at] = new_coords
-        state.output = COOTensor(
-            coords, state.values, state.output.shape, check=False
+        self._store_rows(
+            state,
+            np.concatenate([state.l_idx[keep], l_new]),
+            np.concatenate([state.r_idx[keep], r_new]),
+            np.concatenate([state.values[keep], v_new]),
         )
 
     def _splice_segments(
@@ -404,10 +342,10 @@ class IncrementalEngine:
         use this: ``r`` is the secondary key, so a right tile's rows
         interleave through the store.)
         """
-        R = np.int64(state.spec.R)
-        order = np.argsort(l_new * R + r_new, kind="stable")
+        new_combined = state.spec.output_keys(l_new, r_new)
+        order = np.argsort(new_combined, kind="stable")
+        new_combined = new_combined[order]
         l_new, r_new, v_new = l_new[order], r_new[order], v_new[order]
-        new_combined = l_new * R + r_new
         tiles = np.sort(touched)
         in_touched = np.isin(l_new // np.int64(tile), tiles)
         if (
@@ -421,7 +359,7 @@ class IncrementalEngine:
             self._merge_rows(state, keep, l_new, r_new, v_new)
             return
         assert state.output is not None
-        new_coords = state.spec.delinearize_output(l_new, r_new, v_new).coords
+        new_coords = state.spec.lin_out.decode(new_combined)
         pieces_l: list[np.ndarray] = []
         pieces_r: list[np.ndarray] = []
         pieces_v: list[np.ndarray] = []

@@ -67,9 +67,12 @@ class ModeLinearizer:
         ndim = len(self.extents)
         out = np.empty((ndim, flat.shape[0]), dtype=INDEX_DTYPE)
         rem = flat
-        for k, stride in enumerate(self.strides):
-            # One fused pass for quotient and remainder.
-            out[k], rem = np.divmod(rem, stride)
+        for k, stride in enumerate(self.strides[:-1]):
+            # floor_divide by a scalar is far cheaper than np.divmod.
+            quot = np.floor_divide(rem, stride, out=out[k])
+            rem = rem - quot * stride
+        if ndim:
+            out[-1] = rem  # the last stride is 1
         return out
 
 

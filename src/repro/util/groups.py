@@ -21,6 +21,7 @@ from repro.util.arrays import INDEX_DTYPE
 __all__ = [
     "group_boundaries",
     "match_sorted_keys",
+    "grouped_pairs",
     "grouped_cartesian",
     "segment_sum",
 ]
@@ -61,6 +62,41 @@ def match_sorted_keys(
     return common, idx_a.astype(INDEX_DTYPE), idx_b.astype(INDEX_DTYPE)
 
 
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``[starts[g], starts[g] + counts[g])`` back to back."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    offsets = starts - (ends - counts)
+    return np.arange(total, dtype=INDEX_DTYPE) + np.repeat(offsets, counts)
+
+
+def grouped_pairs(
+    starts_a: np.ndarray,
+    counts_a: np.ndarray,
+    starts_b: np.ndarray,
+    counts_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group cartesian products, factored by their ``a`` side.
+
+    The pairs ``(i, j)``, ``i`` in ``[starts_a[g], starts_a[g] +
+    counts_a[g])`` and ``j`` likewise for ``b``, listed group by group,
+    ``i`` outer and ``j`` inner.  Returns ``(elems_a, reps, idx_b)``:
+    every ``a`` element once, how many consecutive pairs each heads, and
+    every pair's ``b`` index; the pairs' ``a`` indices are
+    ``np.repeat(elems_a, reps)``.  No per-pair integer division.
+    """
+    starts_a, counts_a, starts_b, counts_b = (
+        np.asarray(x, dtype=INDEX_DTYPE)
+        for x in (starts_a, counts_a, starts_b, counts_b)
+    )
+    if not (counts_a.shape == counts_b.shape == starts_a.shape == starts_b.shape):
+        raise ValueError("group descriptor arrays must have identical shapes")
+    reps = np.repeat(counts_b, counts_a)
+    # Every a element's block of pairs is its group's b range.
+    idx_b = _concat_ranges(np.repeat(starts_b, counts_a), reps)
+    return _concat_ranges(starts_a, counts_a), reps, idx_b
+
+
 def grouped_cartesian(
     starts_a: np.ndarray,
     counts_a: np.ndarray,
@@ -71,48 +107,24 @@ def grouped_cartesian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand per-group cartesian products into flat index arrays.
 
-    For each group ``g``, enumerates all pairs ``(i, j)`` with
-    ``i in [starts_a[g], starts_a[g] + counts_a[g])`` and
-    ``j in [starts_b[g], starts_b[g] + counts_b[g])``.  Returns
-    ``(idx_a, idx_b)`` listing every pair, group by group.
-
-    This realizes the nested ``for <l, lv> ... for <r, rv>`` loops of
-    Algorithm 4 for *all* matched contraction indices at once.  The output
-    size equals the number of multiply-accumulate operations, i.e. the
-    quantity the paper's Section 3.4 notes is identical across loop
-    orders.
+    Returns ``(idx_a, idx_b)`` listing every pair of :func:`grouped_pairs`:
+    the nested ``for <l, lv> ... for <r, rv>`` loops of Algorithm 4 for
+    *all* matched contraction indices at once.  The output size is the
+    number of multiply-accumulates, which Section 3.4 notes is identical
+    across loop orders.
 
     ``max_pairs`` guards against accidental quadratic blow-ups; exceeding
     it raises :class:`MemoryError` before any large allocation happens.
     """
-    counts_a = np.asarray(counts_a, dtype=INDEX_DTYPE)
-    counts_b = np.asarray(counts_b, dtype=INDEX_DTYPE)
-    starts_a = np.asarray(starts_a, dtype=INDEX_DTYPE)
-    starts_b = np.asarray(starts_b, dtype=INDEX_DTYPE)
-    if not (counts_a.shape == counts_b.shape == starts_a.shape == starts_b.shape):
-        raise ValueError("group descriptor arrays must have identical shapes")
-
-    pairs = counts_a * counts_b
-    total = int(pairs.sum())
-    if max_pairs is not None and total > max_pairs:
-        raise MemoryError(
-            f"grouped cartesian product would produce {total} pairs "
-            f"(> guard of {max_pairs})"
-        )
-    if total == 0:
-        empty = np.empty(0, dtype=INDEX_DTYPE)
-        return empty, empty.copy()
-
-    # Group id of every output pair, then the pair's rank within its group.
-    group_of = np.repeat(np.arange(pairs.shape[0], dtype=INDEX_DTYPE), pairs)
-    pair_offsets = np.zeros(pairs.shape[0] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(pairs, out=pair_offsets[1:])
-    local = np.arange(total, dtype=INDEX_DTYPE) - pair_offsets[group_of]
-
-    nb = counts_b[group_of]
-    idx_a = starts_a[group_of] + local // nb
-    idx_b = starts_b[group_of] + local % nb
-    return idx_a, idx_b
+    if max_pairs is not None:
+        total = int(np.multiply(counts_a, counts_b, dtype=INDEX_DTYPE).sum())
+        if total > max_pairs:
+            raise MemoryError(
+                f"grouped cartesian product would produce {total} pairs "
+                f"(> guard of {max_pairs})"
+            )
+    elems_a, reps, idx_b = grouped_pairs(starts_a, counts_a, starts_b, counts_b)
+    return np.repeat(elems_a, reps), idx_b
 
 
 def segment_sum(

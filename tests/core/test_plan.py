@@ -88,6 +88,30 @@ class TestLinearization:
         assert dense[0, 2] == 1.5
         assert dense[3, 1] == -2.0
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 40, 200, 3000])
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_canonical_output_matches_sum_duplicates(self, n_rows, repeats):
+        # Rows filling few cells take the argsort, rows filling most of
+        # the 6 x 12 x 4 output take the counting sort; with repeats
+        # both must sum exactly as COOTensor.sum_duplicates does.
+        spec = ContractionSpec((6, 5), (5, 12, 4), [(1, 0)])
+        rng = np.random.default_rng(n_rows)
+        cells = spec.L * spec.R
+        if repeats:
+            keys = rng.integers(0, cells, n_rows)
+        else:
+            keys = rng.permutation(max(cells, n_rows))[:n_rows] % cells
+            keys = np.unique(keys)
+            rng.shuffle(keys)
+        l_idx, r_idx = keys // spec.R, keys % spec.R
+        values = rng.standard_normal(keys.size)
+        keys_out, out = spec.canonical_output(l_idx, r_idx, values)
+        ref = spec.delinearize_output(l_idx, r_idx, values).sum_duplicates()
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out.coords, ref.coords)
+        assert out.values.tobytes() == ref.values.tobytes()
+        np.testing.assert_array_equal(keys_out, np.unique(keys))
+
 
 class TestLinearizedOperand:
     def test_sum_duplicates(self):

@@ -46,6 +46,20 @@ class TestRuntimeContract:
         assert mine.plan_cache_misses == 1
         assert mine.accum_updates > 0
 
+    def test_reused_tables_charge_queries_to_the_calling_contraction(self, tensors):
+        a, b, pairs = tensors
+        rt = ContractionRuntime()
+        cold = Counters()
+        rt.contract(a, b, pairs, counters=cold)
+        cold_after = cold.snapshot()
+        warm = Counters()
+        rt.contract(a, b, pairs, counters=warm)
+        assert rt.records[-1].tables_reused == (True, True)
+        assert warm.hash_queries == cold.hash_queries > 0
+        # The warm call's lookups land on it, not on the call that
+        # built (and still owns) the cached tables.
+        assert cold.snapshot() == cold_after
+
     def test_warm_call_skips_planning_and_construction(self, tensors):
         a, b, pairs = tensors
         rt = ContractionRuntime()

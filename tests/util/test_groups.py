@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.util.groups import (
     group_boundaries,
     grouped_cartesian,
+    grouped_pairs,
     match_sorted_keys,
     segment_sum,
 )
@@ -143,3 +144,34 @@ def test_grouped_cartesian_matches_nested_loops(groups):
             for j in range(nb):
                 expected.append((starts_a[g] + i, starts_b[g] + j))
     assert list(zip(ia.tolist(), ib.tolist())) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    groups=st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 4),
+                  st.integers(0, 50), st.integers(0, 4)),
+        max_size=10,
+    )
+)
+def test_grouped_pairs_matches_nested_loops(groups):
+    """Property: pair order equals the per-group nested loop (``a`` outer,
+    ``b`` inner) for arbitrary, overlapping starts and zero-count groups,
+    and the factored form repeats back to :func:`grouped_cartesian`."""
+    starts_a, counts_a, starts_b, counts_b = (
+        np.array([g[k] for g in groups], dtype=np.int64) for k in range(4)
+    )
+    elems_a, reps, idx_b = grouped_pairs(starts_a, counts_a, starts_b, counts_b)
+    expected = [
+        (sa + i, sb + j)
+        for sa, na, sb, nb in groups
+        for i in range(na)
+        for j in range(nb)
+    ]
+    idx_a = np.repeat(elems_a, reps)
+    assert list(zip(idx_a.tolist(), idx_b.tolist())) == expected
+    assert elems_a.tolist() == [sa + i for sa, na, _, _ in groups for i in range(na)]
+    ia, ib = grouped_cartesian(starts_a, counts_a, starts_b, counts_b)
+    np.testing.assert_array_equal(ia, idx_a)
+    np.testing.assert_array_equal(ib, idx_b)
+
