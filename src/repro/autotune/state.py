@@ -16,15 +16,15 @@ DESKTOP-learned tile preference is noise on SERVER):
   into its plan cache before serving the first request;
 * the **promotion history**, the audit log ``repro autotune`` inspects.
 
-The file discipline is the :class:`~repro.runtime.plan_cache.PlanCache`
-one: atomic ``os.replace`` writes, versioned payloads, and a parse
-failure that degrades to a cold state recorded on
+The file discipline is the one every persisted cache shares
+(:func:`repro.runtime.store.write_json`/:func:`~repro.runtime.store.read_json`):
+atomic ``os.replace`` writes, versioned payloads, and a parse failure
+that degrades to a cold state recorded on
 :attr:`AutotuneState.load_error` instead of taking the service down.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 from repro.autotune.candidates import Candidate
 from repro.autotune.measurements import MeasurementStore
 from repro.machine.cost_model import CostWeights
+from repro.runtime.store import read_json, write_json
 
 __all__ = ["ChampionRecord", "PromotionEvent", "AutotuneState"]
 
@@ -170,17 +171,13 @@ class AutotuneState:
             }
 
     def save(self, path: str | os.PathLike | None = None) -> str:
-        """Atomic JSON write; returns the path written."""
+        """Atomic JSON write; returns the path written.  Snapshot and
+        write share the state lock, so concurrent saves land in order."""
         target = os.fspath(path) if path is not None else self.path
         if target is None:
             raise ValueError("no path given and the state has no default path")
-        payload = self.to_json()
-        tmp = f"{target}.tmp"
         with self._lock:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1)
-            os.replace(tmp, target)
-        return target
+            return write_json(target, self.to_json())
 
     def flush(self) -> str | None:
         return self.save() if self.path is not None else None
@@ -188,43 +185,36 @@ class AutotuneState:
     def load(self, path: str | os.PathLike) -> bool:
         """Warm-start from a state file; ``False`` (plus ``load_error``)
         when the file is corrupt, version-skewed, or for another machine."""
-        path = os.fspath(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("version") != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported state version {payload.get('version')!r}"
-                )
-            machine = payload.get("machine")
-            if machine != self.machine_name:
-                raise ValueError(
-                    f"state was learned on machine {machine!r}, this "
-                    f"process runs {self.machine_name!r}"
-                )
-            weights_doc = payload.get("weights")
-            weights = (
-                None if weights_doc is None else CostWeights(**weights_doc)
-            )
-            store = MeasurementStore.from_json(payload.get("store", {}))
-            champions = {
-                str(k): ChampionRecord.from_json(v)
-                for k, v in payload.get("champions", {}).items()
-            }
-            history = [
-                PromotionEvent.from_json(e)
-                for e in payload.get("history", [])
-            ]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.load_error = f"{type(exc).__name__}: {exc}"
+        parsed, error = read_json(path, _FORMAT_VERSION, self._parse)
+        if error is not None:
+            self.load_error = error
             return False
+        weights, store, champions, history = parsed
         with self._lock:
             self.weights = weights
             self.store = store
             self.champions = champions
             self.history = history[-MAX_HISTORY:]
-            self.loaded_from = path
+            self.loaded_from = os.fspath(path)
         return True
+
+    def _parse(self, payload: dict) -> tuple:
+        machine = payload.get("machine")
+        if machine != self.machine_name:
+            raise ValueError(
+                f"state was learned on machine {machine!r}, this "
+                f"process runs {self.machine_name!r}"
+            )
+        weights_doc = payload.get("weights")
+        return (
+            None if weights_doc is None else CostWeights(**weights_doc),
+            MeasurementStore.from_json(payload.get("store", {})),
+            {
+                str(k): ChampionRecord.from_json(v)
+                for k, v in payload.get("champions", {}).items()
+            },
+            [PromotionEvent.from_json(e) for e in payload.get("history", [])],
+        )
 
     # -- shard merge ----------------------------------------------------
 

@@ -35,10 +35,7 @@ inputs compute once per batch.
 from __future__ import annotations
 
 import hashlib
-import re
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -48,11 +45,12 @@ from repro.core.contraction import contract
 from repro.errors import PlanError, WorkspaceLimitError
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.network.dataflow import PlanGraph, canonical_pattern
-from repro.network.ir import OperandMeta, TensorNetwork
+from repro.network.ir import TensorNetwork
 from repro.network.optimize import build_plan, resolve_optimizer
 from repro.network.passes import PassContext, resolve_pipeline
 from repro.network.plan import NetworkPlan, NetworkSignature
 from repro.runtime.executor import ContractionRuntime
+from repro.runtime.store import KeyedStore
 from repro.tensors.coo import COOTensor
 from repro.tensors.linearize import ModeLinearizer
 from repro.util.groups import segment_sum
@@ -73,37 +71,6 @@ __all__ = [
 #: Refuse outer products that would materialize more candidate nonzeros
 #: than this (mirrors the kernel's task/workspace guards).
 OUTER_PRODUCT_LIMIT = 1 << 26
-
-#: The ``|n<nnz,...>|`` segment of a network signature key.
-_NET_NNZ_SEGMENT = re.compile(r"\|n([\d,]*)\|")
-
-
-def _mask_net_nnz(key: str) -> str:
-    """A network signature key with the nnz segment wildcarded.
-
-    Equal masks = same subscripts, shapes, machine, optimizer, and
-    pipeline at possibly different nonzero counts — the candidate
-    relation for drift-tolerant plan reuse.
-    """
-    return _NET_NNZ_SEGMENT.sub("|n*|", key, count=1)
-
-
-def _net_key_nnz(key: str) -> tuple[int, ...] | None:
-    """Parse the per-operand nnz tuple out of a network signature key."""
-    match = _NET_NNZ_SEGMENT.search(key)
-    if match is None or not match.group(1):
-        return None
-    return tuple(int(n) for n in match.group(1).split(","))
-
-
-def _net_relative_drift(a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    """Max per-operand relative nnz change between two keys."""
-    if len(a) != len(b):
-        return float("inf")
-    return max(
-        (abs(x - y) / max(y, 1) for x, y in zip(a, b)), default=0.0
-    )
-
 
 def sum_out_modes(tensor: COOTensor, modes: Sequence[int]) -> COOTensor:
     """Sum a tensor over the given modes (marginalization)."""
@@ -214,7 +181,7 @@ class _DigestMemo:
         return d
 
 
-class StepResultCache:
+class StepResultCache(KeyedStore):
     """Digest-keyed step-result memo for cross-request CSE.
 
     The serve micro-batcher creates one per drained batch and threads it
@@ -223,44 +190,11 @@ class StepResultCache:
     request in the batch reuses that result outright.  Keys are content
     digests, so reuse is sound across requests regardless of plan or
     operand identity; values are immutable COO results shared by
-    reference.  Thread-safe; bounded LRU.
+    reference.  A thread-safe, bounded :class:`KeyedStore`.
     """
 
     def __init__(self, maxsize: int = 64):
-        if maxsize < 1:
-            raise PlanError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict[tuple, COOTensor] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> COOTensor | None:
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return hit
-            self.misses += 1
-            return None
-
-    def put(self, key: tuple, value: COOTensor) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> dict:
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hits / total if total else 0.0,
-            }
+        super().__init__(maxsize)
 
 
 class NetworkExecutor:
@@ -291,41 +225,32 @@ class NetworkExecutor:
         runtime: ContractionRuntime | None = None,
         plan_cache_size: int = 64,
         passes="default",
-        drift_rtol: float | None = 0.25,
         **runtime_kw,
     ):
-        if plan_cache_size < 1:
-            raise PlanError(
-                f"plan_cache_size must be >= 1, got {plan_cache_size}"
-            )
-        if drift_rtol is not None and drift_rtol < 0:
-            raise PlanError(f"drift_rtol must be >= 0, got {drift_rtol}")
         self.machine = machine
         self.runtime = (
             runtime
             if runtime is not None
             else ContractionRuntime(machine=machine, **runtime_kw)
         )
-        self.plan_cache_size = int(plan_cache_size)
         self.pipeline = resolve_pipeline(passes)
-        self.drift_rtol = drift_rtol
-        self._plans: OrderedDict[str, NetworkPlan] = OrderedDict()
-        # Masked structure key -> most recently inserted exact key
-        # (drift-tolerant reuse; see ``plan``).
-        self._plan_structure: dict[str, str] = {}
-        # Shared by the serve worker pool: LRU reorder/evict and the
-        # hit/miss tallies must not interleave across threads.
-        self._plans_lock = threading.Lock()
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_drift_hits = 0
-        self.plan_drift_repriced = 0
-        self.plans_invalidated = 0
+        # Signature key -> NetworkPlan.  Drift-tolerant: the same
+        # network structure cached at nearby nonzero counts (a streamed
+        # operand gained a few entries) keeps its path, re-keyed under
+        # the live signature; past the tolerance the modeled costs that
+        # chose the path are stale, so it is re-priced from scratch.
+        self.plan_store = KeyedStore(
+            plan_cache_size,
+            rekey=lambda key, plan: replace(plan, signature_key=key),
+        )
         self.cse_hits = 0
         self.cse_misses = 0
         self.batch_cse_hits = 0
         self.dead_skips = 0
-        self.reports: list[NetworkReport] = []
+
+    plan_misses = property(lambda self: self.plan_store.misses)
+    plan_drift_hits = property(lambda self: self.plan_store.drift_hits)
+    plan_drift_repriced = property(lambda self: self.plan_store.drift_repriced)
 
     @property
     def pipeline_key(self) -> str:
@@ -361,35 +286,12 @@ class NetworkExecutor:
         verifier before the plan is cached under its pipeline-qualified
         signature key.
         """
-        network = TensorNetwork.parse(subscripts, operands, nnz=nnz)
-        concrete = resolve_optimizer(optimizer, network)
-        key = NetworkSignature.for_network(
-            network, self.machine, concrete, pipeline=self.pipeline_key
-        ).key
-        with self._plans_lock:
-            hit = self._plans.get(key)
-            if hit is not None:
-                self._plans.move_to_end(key)
-                self.plan_hits += 1
-                return hit, "cache"
-            # Drift probe: the same network structure cached at nearby
-            # nonzero counts (a streamed operand gained a few entries)
-            # keeps its path; past the tolerance the modeled costs that
-            # chose the path are stale, so it is re-priced from scratch.
-            if self.drift_rtol is not None:
-                candidate = self._plan_structure.get(_mask_net_nnz(key))
-                if candidate is not None and candidate != key:
-                    cached = self._plans.get(candidate)
-                    want = _net_key_nnz(key)
-                    have = _net_key_nnz(candidate)
-                    if cached is not None and want is not None and have is not None:
-                        if _net_relative_drift(want, have) <= self.drift_rtol:
-                            rekeyed = replace(cached, signature_key=key)
-                            self._seed_locked(rekeyed)
-                            self.plan_drift_hits += 1
-                            self.plan_hits += 1
-                            return rekeyed, "cache"
-                        self.plan_drift_repriced += 1
+        network, concrete, key = self._plan_key(
+            subscripts, operands, optimizer, nnz
+        )
+        hit = self.plan_store.get(key)
+        if hit is not None:
+            return hit, "cache"
         plan = build_plan(network, self.machine, concrete)
         if self.pipeline is not None:
             context = PassContext(dtypes=self._operand_dtypes(operands))
@@ -397,8 +299,6 @@ class NetworkExecutor:
         if plan.signature_key != key:
             plan = replace(plan, signature_key=key)
         self.seed_plan(plan)
-        with self._plans_lock:
-            self.plan_misses += 1
         return plan, "optimizer"
 
     def cached_plan(
@@ -416,34 +316,22 @@ class NetworkExecutor:
         whether a warm full-quality plan is available before falling
         back to the cheap left-to-right path.
         """
+        return self.plan_store.peek(
+            self._plan_key(subscripts, operands, optimizer, nnz)[2]
+        )
+
+    def _plan_key(self, subscripts, operands, optimizer, nnz):
+        """``(network, concrete optimizer, plan-cache key)`` of a request."""
         network = TensorNetwork.parse(subscripts, operands, nnz=nnz)
         concrete = resolve_optimizer(optimizer, network)
         key = NetworkSignature.for_network(
             network, self.machine, concrete, pipeline=self.pipeline_key
         ).key
-        with self._plans_lock:
-            return self._plans.get(key)
+        return network, concrete, key
 
     def seed_plan(self, plan: NetworkPlan) -> None:
         """Insert a pre-built plan into the network-level cache."""
-        with self._plans_lock:
-            self._seed_locked(plan)
-
-    def _seed_locked(self, plan: NetworkPlan) -> None:
-        """Insert under ``_plans_lock``; keeps the structure index in step."""
-        key = plan.signature_key
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        self._plan_structure[_mask_net_nnz(key)] = key
-        while len(self._plans) > self.plan_cache_size:
-            victim, _ = self._plans.popitem(last=False)
-            self._drop_structure_locked(victim)
-
-    def _drop_structure_locked(self, key: str) -> None:
-        """Remove ``key``'s structure mapping if it is still the latest."""
-        masked = _mask_net_nnz(key)
-        if self._plan_structure.get(masked) == key:
-            del self._plan_structure[masked]
+        self.plan_store.put(plan.signature_key, plan)
 
     def invalidate_plans(self, predicate=None) -> int:
         """Drop cached network plans; returns how many were removed.
@@ -453,19 +341,9 @@ class NetworkExecutor:
         layer calls this when a tensor's nonzero structure moves far
         enough that even drift-tolerant reuse would mislead.
         """
-        with self._plans_lock:
-            if predicate is None:
-                dropped = len(self._plans)
-                self._plans.clear()
-                self._plan_structure.clear()
-            else:
-                victims = [k for k in self._plans if predicate(k)]
-                for k in victims:
-                    del self._plans[k]
-                    self._drop_structure_locked(k)
-                dropped = len(victims)
-            self.plans_invalidated += dropped
-            return dropped
+        if predicate is None:
+            return self.plan_store.clear()
+        return self.plan_store.invalidate_where(predicate)
 
     # -- execution ------------------------------------------------------
 
@@ -689,7 +567,6 @@ class NetworkExecutor:
         report.peak_intermediate_nnz = int(peak_nnz)
         report.peak_intermediate_bytes = int(peak_bytes)
         report.output_nnz = final.nnz
-        self.reports.append(report)
         return final, report
 
     # -- prepared (repeated) execution ----------------------------------
@@ -775,20 +652,16 @@ class NetworkExecutor:
 
     def metrics(self) -> dict:
         """Network- and pairwise-level cache metrics, JSON-friendly."""
-        with self._plans_lock:
-            hits, misses, cached = (
-                self.plan_hits, self.plan_misses, len(self._plans)
-            )
-        total = hits + misses
+        plans = self.plan_store.stats()
         cse_total = self.cse_hits + self.cse_misses
         out = {
-            "network_plans_cached": cached,
-            "network_plan_hits": hits,
-            "network_plan_misses": misses,
-            "network_plan_hit_rate": hits / total if total else 0.0,
-            "network_plan_drift_hits": self.plan_drift_hits,
-            "network_plan_drift_repriced": self.plan_drift_repriced,
-            "network_plans_invalidated": self.plans_invalidated,
+            "network_plans_cached": plans["entries"],
+            "network_plan_hits": plans["hits"],
+            "network_plan_misses": plans["misses"],
+            "network_plan_hit_rate": plans["hit_rate"],
+            "network_plan_drift_hits": plans["drift_hits"],
+            "network_plan_drift_repriced": plans["drift_repriced"],
+            "network_plans_invalidated": plans["invalidated"],
             "cse_hits": self.cse_hits,
             "cse_misses": self.cse_misses,
             "cse_hit_rate": self.cse_hits / cse_total if cse_total else 0.0,

@@ -25,17 +25,13 @@ All reuse is observable through the standard
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis.counters import Counters
 from repro.backends.base import KernelBackend
 from repro.backends.registry import resolve_backend
-from repro.core.contraction import contract
-from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec, LinearizedOperand
 from repro.core.tiled_co import (
     TiledTables,
@@ -46,6 +42,7 @@ from repro.machine.specs import DESKTOP, MachineSpec
 from repro.runtime.calibrator import CostCalibrator
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.signature import signature_for
+from repro.runtime.store import KeyedStore
 from repro.tensors.coo import COOTensor
 
 __all__ = [
@@ -58,7 +55,11 @@ __all__ = [
 
 
 class _OperandEntry:
-    """Cached derived state of one live tensor."""
+    """Cached derived state of one live tensor.
+
+    Holds a strong reference to the tensor, so the ``id(tensor)`` key of
+    its store entry can never be recycled by a new object while cached.
+    """
 
     __slots__ = ("tensor", "linearized", "tables", "seconds_saved_source")
 
@@ -68,108 +69,6 @@ class _OperandEntry:
         self.linearized: dict = {}
         # (lin_key, tile) -> (TiledTables, build_seconds)
         self.tables: dict = {}
-
-
-class _OperandCache:
-    """LRU over recently-seen operand tensors, by identity.
-
-    Keys are ``id(tensor)``; each entry pins a strong reference to its
-    tensor so a recycled address can never alias a dead one.  Hitting
-    requires ``entry.tensor is tensor`` — identity, not equality: COO
-    comparison would cost as much as the linearization being skipped.
-
-    A *pinned* entry (refcounted, see :meth:`pin`/:meth:`unpin`) is
-    exempt from LRU eviction: a prepared network execution pins its
-    hoisted operands so churn from per-step intermediates cannot evict
-    the tables it spent time building.  Pinned entries may carry the
-    cache above ``maxsize``; normal eviction resumes once they unpin.
-    """
-
-    def __init__(self, maxsize: int = 8):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict[int, _OperandEntry] = OrderedDict()
-        self._pins: dict[int, int] = {}
-        # The serve worker pool shares one runtime: LRU reordering and
-        # eviction must not interleave across threads.
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _evict_locked(self) -> None:
-        while len(self._entries) > self.maxsize:
-            victim = next(
-                (k for k in self._entries if not self._pins.get(k)), None
-            )
-            if victim is None:  # everything oversize is pinned
-                break
-            del self._entries[victim]
-
-    def entry(self, tensor: COOTensor) -> _OperandEntry:
-        key = id(tensor)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.tensor is tensor:
-                self._entries.move_to_end(key)
-                return entry
-            entry = _OperandEntry(tensor)
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._evict_locked()
-            return entry
-
-    def pin(self, tensor: COOTensor) -> _OperandEntry:
-        """Fetch (or create) the entry and raise its pin refcount."""
-        key = id(tensor)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.tensor is not tensor:
-                entry = _OperandEntry(tensor)
-                self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._pins[key] = self._pins.get(key, 0) + 1
-            return entry
-
-    def unpin(self, tensor: COOTensor) -> None:
-        """Drop one pin; at refcount zero the entry rejoins normal LRU."""
-        key = id(tensor)
-        with self._lock:
-            count = self._pins.get(key, 0)
-            if count > 1:
-                self._pins[key] = count - 1
-            else:
-                self._pins.pop(key, None)
-                self._evict_locked()
-
-    def pinned_count(self) -> int:
-        with self._lock:
-            return len(self._pins)
-
-    def invalidate(self, tensor: COOTensor) -> bool:
-        """Drop one tensor's cached state, pinned or not.
-
-        The streaming layer calls this when a delta replaces a tensor:
-        the old object's linearized forms and tiled tables describe a
-        snapshot that no longer exists, so keeping them (even pinned)
-        would serve stale reads.  Returns whether an entry was dropped.
-        """
-        key = id(tensor)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.tensor is not tensor:
-                return False
-            del self._entries[key]
-            self._pins.pop(key, None)
-            return True
-
-    def clear(self) -> None:
-        """Drop every entry, pinned or not (explicit maintenance)."""
-        with self._lock:
-            self._entries.clear()
-            self._pins.clear()
 
 
 def _lin_key(role: str, spec: ContractionSpec) -> tuple:
@@ -250,7 +149,11 @@ class ContractionRuntime:
         self.n_workers = int(n_workers)
         self.counters = Counters()
         self.records: list[RunRecord] = []
-        self._operands = _OperandCache(maxsize=operand_cache_size)
+        # id(tensor) -> _OperandEntry.  Pins (refcounted) exempt an
+        # entry from eviction: a prepared network pins its hoisted
+        # operands so churn from per-step intermediates cannot evict
+        # the tables it spent time building.
+        self._operands = KeyedStore(operand_cache_size)
         # Online autotuner hook; set via OnlineTuner.attach(runtime).
         # When present, default-parameter calls may be routed to a
         # challenger plan and every measured outcome is fed back.
@@ -258,11 +161,31 @@ class ContractionRuntime:
 
     # -- cache-aware pipeline pieces ------------------------------------
 
+    def _operand(self, tensor: COOTensor) -> _OperandEntry:
+        """The tensor's operand-cache entry, created on first sight.
+
+        A hit requires ``entry.tensor is tensor`` — identity, not
+        equality: COO comparison would cost as much as the
+        linearization being skipped.
+        """
+        entry = self._operands.get_or_put(
+            id(tensor), lambda: _OperandEntry(tensor)
+        )
+        if entry.tensor is not tensor:
+            raise RuntimeError("operand cache key aliases a different tensor")
+        return entry
+
+    def _pin(self, tensor: COOTensor) -> None:
+        # Pin before the entry exists, so no other thread's insert can
+        # evict it between creation and pin.
+        self._operands.pin(id(tensor))
+        self._operand(tensor)
+
     def _linearized(
         self, tensor: COOTensor, role: str, spec: ContractionSpec
     ) -> tuple[LinearizedOperand, float]:
         """The deduplicated linearized operand, cached per tensor."""
-        entry = self._operands.entry(tensor)
+        entry = self._operand(tensor)
         key = _lin_key(role, spec)
         hit = entry.linearized.get(key)
         if hit is not None:
@@ -291,7 +214,7 @@ class ContractionRuntime:
         ``seconds_saved`` is the measured construction (plus
         linearization) cost this call skipped.
         """
-        entry = self._operands.entry(tensor)
+        entry = self._operand(tensor)
         key = (_lin_key(role, spec), int(tile))
         hit = entry.tables.get(key)
         if hit is not None:
@@ -376,24 +299,20 @@ class ContractionRuntime:
         kernel_backend = resolve_backend(
             backend if backend is not None else self.backend, signature=sig
         )
-        cached = self.plan_cache.get(sig)
         spec = ContractionSpec(left.shape, right.shape, pairs)
 
         left_op, lin_l_s = self._linearized(left, "L", spec)
         right_op, lin_r_s = self._linearized(right, "R", spec)
 
-        if cached is not None:
-            plan = cached.materialize(spec)
+        plan, hit = self.plan_cache.resolve(
+            sig, spec, left_op.nnz, right_op.nnz, self.machine,
+            accumulator=accumulator, tile_size=tile_size,
+        )
+        if hit:
             call_counters.plan_cache_hits += 1
-            plan_source = "cache"
         else:
-            plan = choose_plan(
-                spec, left_op.nnz, right_op.nnz, self.machine,
-                accumulator=accumulator, tile_size=tile_size,
-            )
-            self.plan_cache.put(sig, plan)
             call_counters.plan_cache_misses += 1
-            plan_source = "planner"
+        plan_source = "cache" if hit else "planner"
 
         if kernel_backend.has_native_path(left_op, right_op, plan):
             # The backend will run the whole contraction itself; tiled
@@ -491,19 +410,14 @@ class ContractionRuntime:
         )
         spec = ContractionSpec(left.shape, right.shape, pairs)
         if pin:
-            self._operands.pin(left)
-            self._operands.pin(right)
+            self._pin(left)
+            self._pin(right)
         left_op, _ = self._linearized(left, "L", spec)
         right_op, _ = self._linearized(right, "R", spec)
-        cached = self.plan_cache.get(sig)
-        if cached is not None:
-            plan = cached.materialize(spec)
-        else:
-            plan = choose_plan(
-                spec, left_op.nnz, right_op.nnz, self.machine,
-                accumulator=accumulator, tile_size=tile_size,
-            )
-            self.plan_cache.put(sig, plan)
+        plan, _ = self.plan_cache.resolve(
+            sig, spec, left_op.nnz, right_op.nnz, self.machine,
+            accumulator=accumulator, tile_size=tile_size,
+        )
         built = 0
         if not kernel_backend.has_native_path(left_op, right_op, plan):
             counters = Counters()
@@ -541,13 +455,13 @@ class ContractionRuntime:
         else:
             spec = ContractionSpec(tuple(other_shape), tensor.shape, pairs)
         if pin:
-            self._operands.pin(tensor)
+            self._pin(tensor)
         self._linearized(tensor, role, spec)
 
     def unpin_operand(self, tensor: COOTensor) -> None:
         """Balance one :meth:`prepare_pairwise`/:meth:`prepare_operand`
         pin; at refcount zero the operand rejoins normal LRU."""
-        self._operands.unpin(tensor)
+        self._operands.unpin(id(tensor))
 
     # -- maintenance ----------------------------------------------------
 
@@ -563,7 +477,10 @@ class ContractionRuntime:
         again (pins included — a pinned stale table is still stale).
         Returns whether anything was dropped.
         """
-        return self._operands.invalidate(tensor)
+        entry = self._operands.peek(id(tensor))
+        if entry is None or entry.tensor is not tensor:
+            return False
+        return self._operands.invalidate(id(tensor))
 
     def flush(self):
         """Persist the plan cache to its configured path, if any."""
@@ -694,10 +611,3 @@ class BatchExecutor:
         return BatchReport(
             records=records, metrics=self.runtime.metrics(), outputs=outputs
         )
-
-
-# Re-exported convenience: a one-shot reference run without any caching,
-# used by benchmarks to compare against the runtime path.
-def cold_contract(left, right, pairs, *, machine=DESKTOP, **kw):
-    """Plain ``contract`` call (no runtime caches); benchmark baseline."""
-    return contract(left, right, pairs, machine=machine, **kw)

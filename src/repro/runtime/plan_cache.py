@@ -5,64 +5,28 @@ Algorithm 7 decisions.  A hit skips planning entirely; entries survive
 across processes through :meth:`PlanCache.save` / the ``path`` argument
 (a serving process warms from the previous run's decisions on startup).
 
-A cache file that fails to parse — truncated write, hand-edit, version
-skew — must never take the service down: loading falls back to an empty
-(cold) cache and records the problem in :attr:`PlanCache.load_error`.
-
-Thread-safety: the serve worker pool shares one cache across threads,
-so every mutation of the in-memory LRU (``get`` reorders recency,
-``put`` inserts and evicts, ``save`` snapshots) happens under an
-internal lock.  ``save``'s file write was already crash-safe via the
-atomic ``os.replace``; the lock additionally makes the snapshot it
-serializes consistent.
+The LRU, its lock, the tallies and the nnz-drift index are a
+:class:`~repro.runtime.store.KeyedStore`; this module adds the
+decision type and its file format.  A cache file that fails to parse —
+truncated write, hand-edit, version skew — must never take the service
+down: loading falls back to an empty (cold) cache and records the
+problem in :attr:`PlanCache.load_error`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
-import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable
 
+from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec, Plan
+from repro.machine.specs import MachineSpec
 from repro.runtime.signature import ProblemSignature
+from repro.runtime.store import KeyedStore, read_json, write_json
 
 __all__ = ["CachedPlan", "PlanCache"]
 
 _FORMAT_VERSION = 1
-
-#: The ``|n<nnz_l>,<nnz_r>|`` segment of a signature key (the only
-#: value-ish part of the otherwise structural key).
-_NNZ_SEGMENT = re.compile(r"\|n(\d+),(\d+)\|")
-
-
-def _mask_nnz(key: str) -> str:
-    """The signature key with its nnz segment wildcarded.
-
-    Two keys with equal masks describe the same *structure* (shapes,
-    pairs, machine, pinned accumulator/tile) at possibly different
-    nonzero counts — the drift-reuse candidate relation.
-    """
-    return _NNZ_SEGMENT.sub("|n*|", key, count=1)
-
-
-def _key_nnz(key: str) -> tuple[int, int] | None:
-    """Parse ``(nnz_l, nnz_r)`` out of a signature key, if present."""
-    match = _NNZ_SEGMENT.search(key)
-    if match is None:
-        return None
-    return int(match.group(1)), int(match.group(2))
-
-
-def _relative_drift(a: tuple[int, int], b: tuple[int, int]) -> float:
-    """Max per-operand relative nnz change between two keys."""
-    return max(
-        abs(a[0] - b[0]) / max(b[0], 1),
-        abs(a[1] - b[1]) / max(b[1], 1),
-    )
 
 
 @dataclass(frozen=True)
@@ -112,7 +76,7 @@ class CachedPlan:
         )
 
 
-class PlanCache:
+class PlanCache(KeyedStore):
     """LRU map from problem signatures to cached plan decisions.
 
     Parameters
@@ -124,128 +88,62 @@ class PlanCache:
         Optional JSON file.  When given, the cache warms itself from the
         file at construction (silently starting cold if the file is
         missing or corrupt) and :meth:`flush` writes back to it.
-    drift_rtol:
-        Nonzero-count drift tolerance for structural reuse.  A lookup
-        that misses exactly may still hit an entry for the *same
-        structure* at a different nnz (the persisted key embeds the
-        operand nnz at save time, so warm-started entries carry their
-        provenance).  Within the tolerance the entry is reused and
-        re-keyed under the live signature (``drift_hits``); beyond it
-        the lookup misses so the caller re-prices through Algorithm 7
-        instead of blindly replaying a decision made for a tensor that
-        has since drifted (``drift_repriced``).  ``None`` disables
-        structural reuse entirely (exact-key hits only).
+
+    A lookup that misses exactly may still hit an entry for the *same
+    structure* at a nonzero count within
+    :data:`~repro.runtime.store.DRIFT_RTOL` (the persisted key embeds the
+    operand nnz at save time, so warm-started entries carry their
+    provenance): it is reused and re-keyed under the live signature
+    (``drift_hits``).  Beyond the tolerance the lookup misses so the
+    caller re-prices through Algorithm 7 (``drift_repriced``).
+
+    The tallies, ``hit_rate``, ``stats()``, ``len()`` and
+    ``invalidate_where`` are the :class:`KeyedStore`'s; the methods
+    below take signatures where the store takes raw keys.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 128,
-        path: str | os.PathLike | None = None,
-        *,
-        drift_rtol: float | None = 0.25,
-    ):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        if drift_rtol is not None and drift_rtol < 0:
-            raise ValueError(f"drift_rtol must be >= 0, got {drift_rtol}")
-        self.maxsize = int(maxsize)
+    def __init__(self, maxsize: int = 128, path: str | os.PathLike | None = None):
+        super().__init__(maxsize)
         self.path = os.fspath(path) if path is not None else None
-        self.drift_rtol = drift_rtol
-        self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
-        # Masked structure key -> most recently inserted exact key.
-        self._structure: dict[str, str] = {}
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.drift_hits = 0
-        self.drift_repriced = 0
-        self.invalidated = 0
         self.load_error: str | None = None
         if self.path is not None and os.path.exists(self.path):
-            self._load(self.path)
-
-    # -- core mapping ---------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+            self.load(self.path, replace=True)
 
     def __contains__(self, signature: ProblemSignature) -> bool:
-        with self._lock:
-            return signature.key in self._entries
-
-    def keys(self) -> list[str]:
-        """Cached keys, least recently used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def _insert_locked(self, key: str, cached: CachedPlan) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = cached
-        self._structure[_mask_nnz(key)] = key
-        while len(self._entries) > self.maxsize:
-            victim, _ = self._entries.popitem(last=False)
-            self.evictions += 1
-            self._drop_structure_locked(victim)
-
-    def _drop_structure_locked(self, key: str) -> None:
-        masked = _mask_nnz(key)
-        if self._structure.get(masked) == key:
-            del self._structure[masked]
-
-    def _rebuild_structure_locked(self) -> None:
-        self._structure = {}
-        for key in self._entries:
-            self._structure[_mask_nnz(key)] = key
+        return self.peek(signature.key) is not None
 
     def get(self, signature: ProblemSignature) -> CachedPlan | None:
-        """Look up a cached decision; refreshes LRU recency on hit.
-
-        An exact-key miss falls through to the structural drift probe
-        (see ``drift_rtol``): the same structure cached at a nearby nnz
-        is reused and re-keyed; one cached beyond the tolerance stays a
-        miss so the caller re-prices the plan for the drifted operands.
-        """
-        key = signature.key
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry
-            if self.drift_rtol is not None:
-                candidate = self._structure.get(_mask_nnz(key))
-                if candidate is not None and candidate != key:
-                    cached = self._entries.get(candidate)
-                    want = _key_nnz(key)
-                    have = _key_nnz(candidate)
-                    if cached is not None and want is not None and have is not None:
-                        if _relative_drift(want, have) <= self.drift_rtol:
-                            self._insert_locked(key, cached)
-                            self.drift_hits += 1
-                            self.hits += 1
-                            return cached
-                        self.drift_repriced += 1
-            self.misses += 1
-            return None
+        """Look up a cached decision (exact, else within the nnz drift
+        tolerance); refreshes LRU recency on hit."""
+        return super().get(signature.key)
 
     def put(self, signature: ProblemSignature, plan: Plan | CachedPlan) -> CachedPlan:
         """Insert (or refresh) a decision, evicting LRU entries at capacity."""
-        cached = plan if isinstance(plan, CachedPlan) else CachedPlan.from_plan(plan)
-        with self._lock:
-            self._insert_locked(signature.key, cached)
-        return cached
+        return self.put_key(signature.key, plan)
 
-    def peek_key(self, key: str) -> CachedPlan | None:
-        """Look up by raw key without touching recency or hit counters.
+    def resolve(
+        self,
+        signature: ProblemSignature,
+        spec: ContractionSpec,
+        nnz_l: int,
+        nnz_r: int,
+        machine: MachineSpec,
+        **overrides,
+    ) -> tuple[Plan, bool]:
+        """``(plan, hit)``: the cached decision materialized for ``spec``,
+        else a fresh Algorithm 7 decision (``choose_plan`` with
+        ``overrides``), cached under ``signature``."""
+        cached = self.get(signature)
+        if cached is not None:
+            return cached.materialize(spec), True
+        plan = choose_plan(spec, nnz_l, nnz_r, machine, **overrides)
+        self.put(signature, plan)
+        return plan, False
 
-        Used by the autotuner to snapshot the entry a promotion is about
-        to displace; a peek must not make a cold entry look hot.
-        """
-        with self._lock:
-            return self._entries.get(key)
+    #: Look up by raw key without touching recency or hit counters: the
+    #: autotuner snapshots the entry a promotion is about to displace,
+    #: and a peek must not make a cold entry look hot.
+    peek_key = KeyedStore.peek
 
     def put_key(self, key: str, plan: Plan | CachedPlan) -> CachedPlan:
         """Insert (or refresh) a decision under a raw signature key.
@@ -254,81 +152,30 @@ class PlanCache:
         rolls back by key because it stores keys, not live signatures.
         """
         cached = plan if isinstance(plan, CachedPlan) else CachedPlan.from_plan(plan)
-        with self._lock:
-            self._insert_locked(key, cached)
+        super().put(key, cached)
         return cached
-
-    # -- invalidation ---------------------------------------------------
 
     def invalidate(self, signature: ProblemSignature) -> bool:
         """Drop one signature's entry; returns whether it existed."""
-        return self.invalidate_key(signature.key)
+        return super().invalidate(signature.key)
 
-    def invalidate_key(self, key: str) -> bool:
-        """Drop one entry by raw key (streaming invalidation hook)."""
-        with self._lock:
-            if key not in self._entries:
-                return False
-            del self._entries[key]
-            self._drop_structure_locked(key)
-            self.invalidated += 1
-            return True
-
-    def invalidate_where(self, predicate: Callable[[str], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``.
-
-        The fan-out form: a stream that knows its operands' shapes can
-        drop every cached decision mentioning them without holding live
-        signatures.  Returns the number of entries dropped.
-        """
-        with self._lock:
-            victims = [k for k in self._entries if predicate(k)]
-            for key in victims:
-                del self._entries[key]
-                self._drop_structure_locked(key)
-            self.invalidated += len(victims)
-            return len(victims)
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "drift_hits": self.drift_hits,
-                "drift_repriced": self.drift_repriced,
-                "invalidated": self.invalidated,
-                "hit_rate": self.hits / (self.hits + self.misses)
-                if self.hits + self.misses else 0.0,
-            }
+    #: Drop one entry by raw key (streaming invalidation hook).
+    invalidate_key = KeyedStore.invalidate
 
     # -- persistence ----------------------------------------------------
 
     def save(self, path: str | os.PathLike | None = None) -> str:
-        """Write the cache to JSON (atomic rename); returns the path."""
+        """Write the cache to JSON (atomic rename); returns the path.
+
+        The snapshot and the write happen under the cache lock, so of
+        two concurrent saves the later snapshot is the one left on disk.
+        """
         target = os.fspath(path) if path is not None else self.path
         if target is None:
             raise ValueError("no path given and the cache has no default path")
-        # The whole write stays under the lock: two concurrent saves
-        # would otherwise interleave on the shared ``.tmp`` scratch file
-        # before either atomic rename happens.
         with self._lock:
-            payload = {
-                "version": _FORMAT_VERSION,
-                "entries": [[k, asdict(v)] for k, v in self._entries.items()],
-            }
-            tmp = f"{target}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1)
-            os.replace(tmp, target)
-        return target
+            entries = [[k, asdict(v)] for k, v in self._data.items()]
+            return write_json(target, {"version": _FORMAT_VERSION, "entries": entries})
 
     def flush(self) -> str | None:
         """Persist to the default path, if one was configured."""
@@ -337,58 +184,20 @@ class PlanCache:
     def load(self, path: str | os.PathLike, *, replace: bool = False) -> int:
         """Warm-start from a JSON cache file; returns entries loaded.
 
-        By default loaded entries *merge under* the live ones (an entry
-        already decided in this process wins over the persisted copy —
-        it is at least as fresh).  ``replace=True`` drops the live
-        entries first.  Corrupt files degrade to a no-op with the
-        problem recorded on :attr:`load_error`, same as construction.
+        By default loaded entries *merge under* the live ones: an entry
+        already decided in this process wins over the persisted copy,
+        and at capacity the persisted entries are the ones evicted.
+        ``replace=True`` drops the live entries first.  Corrupt files
+        degrade to a no-op with the problem recorded on
+        :attr:`load_error`, same as construction.
         """
-        loaded = self._parse(os.fspath(path))
-        if loaded is None:
+        entries, error = read_json(path, _FORMAT_VERSION, _parse_entries)
+        if error is not None:
+            self.load_error = error
             return 0
-        with self._lock:
-            if replace:
-                self._entries = loaded
-            else:
-                for key, cached in loaded.items():
-                    self._entries.setdefault(key, cached)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-            self._rebuild_structure_locked()
-        return len(loaded)
+        super().load(entries, replace=replace)
+        return len(entries)
 
-    def _parse(self, path: str) -> "OrderedDict[str, CachedPlan] | None":
-        """Parse one cache file; ``None`` (plus ``load_error``) on corruption."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("version") != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported cache format version {payload.get('version')!r}"
-                )
-            entries = OrderedDict()
-            for key, fields in payload["entries"]:
-                entries[str(key)] = CachedPlan(**fields)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            # json.JSONDecodeError subclasses ValueError; a bad field
-            # set raises TypeError from the dataclass constructor.
-            self.load_error = f"{type(exc).__name__}: {exc}"
-            return None
-        return entries
 
-    def _load(self, path: str) -> None:
-        """Warm from a JSON file; corruption degrades to a cold cache."""
-        entries = self._parse(path)
-        if entries is None:
-            return
-        with self._lock:
-            self._entries = entries
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-            self._rebuild_structure_locked()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PlanCache(entries={len(self)}, maxsize={self.maxsize}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+def _parse_entries(payload: dict) -> list[tuple[str, CachedPlan]]:
+    return [(str(key), CachedPlan(**fields)) for key, fields in payload["entries"]]

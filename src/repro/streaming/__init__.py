@@ -35,16 +35,12 @@ from repro.streaming.engine import (
     StreamStats,
 )
 from repro.streaming.version import (
-    ARTIFACT_KINDS,
     Artifact,
     DependencyTracker,
     TensorVersion,
-    close_stale_prepared,
-    watch_prepared,
 )
 
 __all__ = [
-    "ARTIFACT_KINDS",
     "DEFAULT_STALENESS_THRESHOLD",
     "DELETE",
     "INSERT",
@@ -58,6 +54,4 @@ __all__ = [
     "StreamStats",
     "TensorVersion",
     "apply_delta",
-    "close_stale_prepared",
-    "watch_prepared",
 ]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -194,20 +194,16 @@ class IncrementalEngine:
             left, right, pairs, self.machine,
             accumulator=accumulator, tile_size=tile_size,
         )
-        if plan is None:
-            cached = (
-                self.runtime.plan_cache.get(sig)
-                if self.runtime is not None else None
+        if plan is None and self.runtime is not None:
+            plan, _ = self.runtime.plan_cache.resolve(
+                sig, spec, left.nnz, right.nnz, self.machine,
+                accumulator=accumulator, tile_size=tile_size,
             )
-            if cached is not None:
-                plan = cached.materialize(spec)
-            else:
-                plan = choose_plan(
-                    spec, left.nnz, right.nnz, self.machine,
-                    accumulator=accumulator, tile_size=tile_size,
-                )
-                if self.runtime is not None:
-                    self.runtime.plan_cache.put(sig, plan)
+        elif plan is None:
+            plan = choose_plan(
+                spec, left.nnz, right.nnz, self.machine,
+                accumulator=accumulator, tile_size=tile_size,
+            )
         backend = resolve_backend(
             self.backend, signature=sig,
         ) if not isinstance(self.backend, KernelBackend) else self.backend

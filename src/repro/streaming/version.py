@@ -33,24 +33,7 @@ from typing import Iterable, Mapping
 
 from repro.errors import StaleReadError, StreamError
 
-__all__ = [
-    "ARTIFACT_KINDS",
-    "Artifact",
-    "DependencyTracker",
-    "TensorVersion",
-    "close_stale_prepared",
-    "watch_prepared",
-]
-
-#: The artifact kinds the system registers (free-form strings are also
-#: accepted; these are the ones the built-in integrations use).
-ARTIFACT_KINDS = (
-    "tiled_table",
-    "linearized",
-    "plan_cache",
-    "prepared_network",
-    "output",
-)
+__all__ = ["Artifact", "DependencyTracker", "TensorVersion"]
 
 
 class TensorVersion:
@@ -259,45 +242,3 @@ class DependencyTracker:
                 "bumps": self.bumps,
                 "invalidations": self.invalidations,
             }
-
-
-def watch_prepared(
-    tracker: DependencyTracker,
-    prepared,
-    deps: Mapping[str, Iterable[int] | None],
-    *,
-    artifact_id: str | None = None,
-) -> str:
-    """Track a :class:`~repro.network.executor.PreparedNetwork`'s pins.
-
-    Registers the prepared execution as a ``prepared_network`` artifact;
-    :func:`close_stale_prepared` (or any caller holding the returned id)
-    can then close it when a dependency bump lands.  The id defaults to
-    the prepared object's identity.
-    """
-    ident = artifact_id if artifact_id is not None else f"prepared:{id(prepared)}"
-    tracker.register(ident, "prepared_network", deps)
-    return ident
-
-
-def close_stale_prepared(
-    tracker: DependencyTracker, prepared_by_id: Mapping[str, object]
-) -> list[str]:
-    """Close every tracked prepared network whose dependencies moved.
-
-    ``prepared_by_id`` maps artifact ids (from :func:`watch_prepared`)
-    to live ``PreparedNetwork`` objects.  Returns the ids closed; each
-    is unregistered from the tracker so a later rebuild re-registers
-    cleanly.
-    """
-    closed: list[str] = []
-    for artifact in tracker.artifacts("prepared_network"):
-        if artifact.fresh:
-            continue
-        prepared = prepared_by_id.get(artifact.artifact_id)
-        if prepared is None:
-            continue
-        prepared.close()  # type: ignore[attr-defined]
-        tracker.unregister(artifact.artifact_id)
-        closed.append(artifact.artifact_id)
-    return closed

@@ -8,7 +8,6 @@ invalidation severs reuse completely.
 """
 
 import numpy as np
-import pytest
 
 from repro.data.random_tensors import random_coo
 from repro.machine.specs import DESKTOP
@@ -41,8 +40,8 @@ class TestEviction:
         ex = NetworkExecutor(machine=DESKTOP, plan_cache_size=4)
         for a, b in distinct_networks(10):
             ex.plan(SUB, [a, b])
-        assert len(ex._plans) == 4
-        assert len(ex._plan_structure) == 4
+        assert len(ex.plan_store) == 4
+        assert ex.plan_store.stats()["structures"] == 4
 
     def test_eviction_is_least_recently_used(self):
         ex = NetworkExecutor(machine=DESKTOP, plan_cache_size=2)
@@ -88,13 +87,6 @@ class TestDrift:
         assert ex.plan_drift_repriced == 1
         assert ex.plan_drift_hits == 0
 
-    def test_drift_disabled(self):
-        ex = NetworkExecutor(machine=DESKTOP, drift_rtol=None)
-        ex.plan(SUB, list(pair(100)))
-        _, source = ex.plan(SUB, list(pair(101)))
-        assert source == "optimizer"
-        assert ex.plan_drift_hits == 0
-
     def test_drift_reuse_still_executes_correctly(self):
         ex = NetworkExecutor(machine=DESKTOP)
         ex.contract(SUB, *pair(100))
@@ -110,8 +102,8 @@ class TestInvalidation:
         for a, b in distinct_networks(3):
             ex.plan(SUB, [a, b])
         assert ex.invalidate_plans() == 3
-        assert len(ex._plans) == 0
-        assert len(ex._plan_structure) == 0
+        assert len(ex.plan_store) == 0
+        assert ex.plan_store.stats()["structures"] == 0
         assert ex.metrics()["network_plans_invalidated"] == 3
 
     def test_invalidate_by_predicate(self):

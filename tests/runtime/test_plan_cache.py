@@ -213,6 +213,23 @@ class TestWarmStart:
         assert fresh.get(sig(0)) is not None
         assert fresh.get(sig(1)) == live
 
+    def test_load_at_capacity_evicts_loaded_entries_first(self, tmp_path):
+        path = tmp_path / "shard_a.json"
+        _, plan = make_plan()
+        donor = PlanCache(maxsize=8)
+        donor.put(sig(2), plan)
+        donor.put(sig(3), plan)
+        donor.save(path)
+
+        cache = PlanCache(maxsize=3)
+        cache.put(sig(0), plan)
+        cache.put(sig(1), plan)
+        assert cache.load(path) == 2
+        # Live decisions stay; the file's coldest entry is the overflow.
+        assert sig(0) in cache and sig(1) in cache and sig(3) in cache
+        assert sig(2) not in cache
+        assert cache.evictions == 1
+
     def test_load_replace_drops_live_entries(self, tmp_path):
         path = tmp_path / "shard_a.json"
         _, plan = make_plan()

@@ -3,11 +3,9 @@
 A streaming workload mutates operands between calls, so the exact
 signature key (which embeds nnz) almost never repeats.  The cache keeps
 a masked structure index so a lookup at a drifted nnz can reuse the
-same structure's plan within ``drift_rtol`` — and deliberately miss
+same structure's plan within ``DRIFT_RTOL`` — and deliberately miss
 beyond it, forcing a re-price through Algorithm 7.
 """
-
-import pytest
 
 from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec
@@ -37,7 +35,7 @@ class TestDriftReuse:
         assert cache.drift_hits == 0
 
     def test_reuse_within_tolerance(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         hit = cache.get(sig(550))  # 10% drift
         assert hit is not None
@@ -49,27 +47,21 @@ class TestDriftReuse:
         assert cache.drift_hits == before
 
     def test_reprice_beyond_tolerance(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         assert cache.get(sig(900)) is None  # 80% drift: miss
         assert cache.drift_repriced == 1
         assert cache.drift_hits == 0
 
     def test_both_operands_checked(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500, 100), plan_for(500, 100))
         # Left within tolerance, right far out: must miss.
         assert cache.get(sig(510, 400)) is None
         assert cache.drift_repriced == 1
 
-    def test_disabled_when_none(self):
-        cache = PlanCache(drift_rtol=None)
-        cache.put(sig(500), plan_for(500))
-        assert cache.get(sig(505)) is None
-        assert cache.drift_hits == 0 and cache.drift_repriced == 0
-
     def test_different_structure_never_reused(self):
-        cache = PlanCache(drift_rtol=10.0)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         other = ProblemSignature(
             left_shape=(64, 16), right_shape=(16, 32), pairs=((1, 0),),
@@ -77,10 +69,6 @@ class TestDriftReuse:
             accumulator="dense",
         )
         assert cache.get(other) is None
-
-    def test_bad_rtol_rejected(self):
-        with pytest.raises(ValueError):
-            PlanCache(drift_rtol=-0.1)
 
 
 class TestDriftAfterPersistence:
@@ -98,21 +86,21 @@ class TestDriftAfterPersistence:
 
 class TestInvalidationInteraction:
     def test_invalidated_entry_not_drift_reusable(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         assert cache.invalidate(sig(500)) is True
         assert cache.get(sig(510)) is None
         assert cache.drift_hits == 0
 
     def test_invalidate_where_drops_structure_index(self):
-        cache = PlanCache(drift_rtol=0.25)
+        cache = PlanCache()
         cache.put(sig(500), plan_for(500))
         assert cache.invalidate_where(lambda key: "L64x16" in key) == 1
         assert cache.get(sig(505)) is None
         assert cache.stats()["invalidated"] == 1
 
     def test_eviction_drops_structure_index(self):
-        cache = PlanCache(maxsize=1, drift_rtol=0.25)
+        cache = PlanCache(maxsize=1)
         cache.put(sig(500), plan_for(500))
         other = ProblemSignature(
             left_shape=(128, 16), right_shape=(16, 32), pairs=((1, 0),),

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import StaleReadError, StreamError
-from repro.streaming import (
-    DependencyTracker,
-    TensorVersion,
-    close_stale_prepared,
-    watch_prepared,
-)
+from repro.streaming import DependencyTracker, TensorVersion
 
 
 class TestVersions:
@@ -106,31 +101,3 @@ class TestInvalidation:
         assert stats["bumps"] == 1
         assert stats["invalidations"] == 1
         assert tracker.stale_ids() == ["x"]
-
-
-class _FakePrepared:
-    def __init__(self):
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-class TestPreparedIntegration:
-    def test_watch_and_close_stale(self):
-        tracker = DependencyTracker()
-        fresh, stale = _FakePrepared(), _FakePrepared()
-        fid = watch_prepared(tracker, fresh, {"a": None}, artifact_id="p:fresh")
-        sid = watch_prepared(tracker, stale, {"b": None}, artifact_id="p:stale")
-        tracker.bump("b")
-        closed = close_stale_prepared(tracker, {fid: fresh, sid: stale})
-        assert closed == [sid]
-        assert stale.closed and not fresh.closed
-        # The closed one is unregistered; the fresh one remains tracked.
-        assert {a.artifact_id for a in tracker.artifacts()} == {fid}
-
-    def test_default_artifact_id_is_identity_based(self):
-        tracker = DependencyTracker()
-        prepared = _FakePrepared()
-        ident = watch_prepared(tracker, prepared, {"a": None})
-        assert ident == f"prepared:{id(prepared)}"
