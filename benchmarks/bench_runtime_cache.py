@@ -34,11 +34,16 @@ def bench_case(case_name: str, warm_calls: int = 6) -> dict:
     left, right, pairs = get_case(case_name).load()
     runtime = ContractionRuntime(machine=DESKTOP, calibrate=False)
 
-    runtime.contract(left, right, pairs, name=f"{case_name}/cold")
-    cold = runtime.records[0]
-    for k in range(warm_calls):
-        runtime.contract(left, right, pairs, name=f"{case_name}/warm{k}")
-    warm_records = runtime.records[1:]
+    _, cold = runtime.contract(
+        left, right, pairs, name=f"{case_name}/cold", return_record=True
+    )
+    warm_records = [
+        runtime.contract(
+            left, right, pairs, name=f"{case_name}/warm{k}",
+            return_record=True,
+        )[1]
+        for k in range(warm_calls)
+    ]
 
     c = runtime.counters
     skipped_planning = c.plan_cache_hits == len(warm_records)

@@ -1,15 +1,12 @@
 """Run every benchmark harness and collect outputs (artifact driver).
 
-Usage:  python benchmarks/run_all.py [--out results/] [--quick] [--json]
+Usage:  python benchmarks/run_all.py [--out results/] [--quick]
 
 Mirrors the paper's SC artifact workflow: one command regenerates every
 table and figure, writing each harness's printed rows to a text file.
 ``--quick`` restricts repeats so a full pass finishes in a few minutes.
-``--json`` additionally writes one machine-readable run manifest,
-``BENCH_<stamp>.json``, into the output directory: per-harness status,
-wall-clock seconds and output path, plus the run configuration — what a
-results dashboard or regression tracker ingests instead of scraping the
-text files.
+Machine-readable, comparable measurements come from
+``perfbench/run.py --record`` instead.
 """
 
 from __future__ import annotations
@@ -52,46 +49,7 @@ HARNESSES = [
 ]
 
 
-def _environment() -> dict:
-    """Provenance block for the JSON manifest.
-
-    Records the git commit the numbers came from, the machine model the
-    harnesses priced against, and which optional kernel backends were
-    importable — the three things a regression tracker needs to decide
-    whether two manifests are comparable at all.
-    """
-    import subprocess
-
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            check=True,
-        ).stdout.strip()
-    except Exception:  # noqa: BLE001 - tarball checkouts have no git
-        commit = None
-    try:
-        from repro.backends import available_backends
-
-        backends = sorted(available_backends())
-    except Exception:  # noqa: BLE001 - manifest stays writable regardless
-        backends = []
-    try:
-        from repro.machine.specs import DESKTOP
-
-        machine = DESKTOP.name
-    except Exception:  # noqa: BLE001
-        machine = None
-    return {
-        "git_commit": commit,
-        "machine_model": machine,
-        "python": sys.version.split()[0],
-        "backends": backends,
-    }
-
-
-def run_harness(name: str, out_dir: str) -> tuple[bool, float, str]:
+def run_harness(name: str, out_dir: str) -> tuple[bool, float]:
     """Import and run one harness's main(); capture stdout to a file."""
     module = importlib.import_module(name)
     buffer = io.StringIO()
@@ -107,7 +65,7 @@ def run_harness(name: str, out_dir: str) -> tuple[bool, float, str]:
     path = os.path.join(out_dir, f"{name.removeprefix('bench_')}.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buffer.getvalue())
-    return ok, elapsed, path
+    return ok, elapsed
 
 
 def main(argv=None) -> int:
@@ -118,9 +76,6 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="clamp every harness's repeats to 1 (smoke "
                              "mode for CI)")
-    parser.add_argument("--json", action="store_true",
-                        help="also write a BENCH_<stamp>.json run manifest "
-                             "into the output directory")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -138,34 +93,11 @@ def main(argv=None) -> int:
             parser.error(f"unknown harnesses: {sorted(missing)}")
 
     failures = 0
-    results = []
-    started = time.time()
     for name in selected:
-        ok, elapsed, path = run_harness(name, args.out)
+        ok, elapsed = run_harness(name, args.out)
         status = "ok" if ok else "FAILED"
         print(f"{name:<36} {status:>7}  {elapsed:7.1f}s")
         failures += not ok
-        results.append({
-            "harness": name, "ok": ok,
-            "seconds": round(elapsed, 3), "output": path,
-        })
-    if args.json:
-        import json
-
-        stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime(started))
-        manifest = {
-            "stamp": stamp,
-            "started_at": started,
-            "quick": args.quick,
-            "environment": _environment(),
-            "harnesses": results,
-            "succeeded": len(selected) - failures,
-            "failed": failures,
-        }
-        manifest_path = os.path.join(args.out, f"BENCH_{stamp}.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-        print(f"manifest written to {manifest_path}")
     print(f"\n{len(selected) - failures}/{len(selected)} harnesses succeeded; "
           f"outputs in {args.out}/")
     return 1 if failures else 0

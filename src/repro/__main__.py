@@ -41,17 +41,13 @@ Subcommands
     ``--rate``) or closed-loop (``--closed N`` clients), and the SLO
     metrics — per-stage latency percentiles, terminal status counts,
     queue stats, cache hit rates — are printed (``--json`` for the raw
-    document).  ``--demo`` runs a canned capacity-then-overload
-    sequence; with ``--quick`` it is the CI smoke configuration.
-    ``--autotune`` turns on online bandit exploration
+    document).  ``--autotune`` turns on online bandit exploration
     (:mod:`repro.autotune`), with ``--autotune-state`` persisting the
     learned weights, measurements and promotions across restarts.
 ``autotune``
     Operate on learned autotune state: inspect a state file (default),
-    ``--replay`` the promotion/rollback audit log, ``--reset`` the
-    learned state in place, or run the end-to-end ``--self-check``
-    (explore on live contractions, promote on synthetic skew, roll back
-    on regression, round-trip persistence) — the CI smoke gate.
+    ``--replay`` the promotion/rollback audit log, or ``--reset`` the
+    learned state in place.
 """
 
 from __future__ import annotations
@@ -487,9 +483,6 @@ def _cmd_serve(args) -> int:
     )
 
     machine = SERVER if args.machine == "server" else DESKTOP
-    if args.demo:
-        return _serve_demo(args, machine)
-
     config = ServiceConfig(
         queue_capacity=args.capacity,
         policy=args.policy,
@@ -536,83 +529,11 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_demo(args, machine) -> int:
-    """Canned capacity-then-overload sequence (the CI smoke path).
-
-    Phase 1 measures capacity closed-loop; phase 2 offers a multiple of
-    it open-loop against a small bounded queue so the admission policy
-    visibly sheds.  Exit is nonzero if any request fails outright or
-    the queue ever exceeds its bound.  With ``--shards N`` the same
-    two phases run against the process-sharded router instead.
-    """
-    from repro.serve import (
-        ServiceConfig,
-        run_closed_loop,
-        run_open_loop,
-        synthetic_requests,
-    )
-    from repro.serve.loadgen import _queue_stats
-
-    n = 12 if args.quick else 60
-    capacity = 4 if args.quick else 16
-    config = ServiceConfig(
-        queue_capacity=capacity, policy="shed_oldest",
-        n_workers=args.workers, max_batch=args.max_batch,
-        backend=args.backend or "numpy",
-        autotune=args.autotune,
-        autotune_explore_rate=args.autotune_rate,
-        autotune_state_path=args.autotune_state,
-    )
-    requests = synthetic_requests(n, n_signatures=3, seed=args.seed)
-    # try/finally rather than ``with``: Ctrl-C during the demo must
-    # still reap any spawned shard processes (the old context-manager
-    # form leaked them when the interrupt landed inside ``start()``).
-    service = _serve_backend(args, machine, config)
-    try:
-        service.start()
-        closed = run_closed_loop(
-            service, requests, concurrency=2, seed=args.seed
-        )
-        print("phase 1 — capacity (closed loop):")
-        print(closed.render())
-        # Offer well above the measured capacity so shedding engages.
-        rate = max(10.0, 4.0 * closed.achieved_rps)
-        open_report = run_open_loop(
-            service, requests, rate, seed=args.seed
-        )
-        print("\nphase 2 — overload (open loop):")
-        print(open_report.render())
-        queue_stats = _queue_stats(service)
-        print()
-        print(_render_service(service))
-        tuner = getattr(service, "tuner", None)
-        if tuner is not None:
-            print(f"  autotune: {tuner.metrics()}")
-        ok = (
-            open_report.statuses.get("failed", 0) == 0
-            and closed.statuses.get("failed", 0) == 0
-            and queue_stats["high_water"] <= queue_stats["capacity"]
-        )
-    finally:
-        service.close()
-    if ok:
-        print(f"\ndemo PASS: bounded queue high-water "
-              f"{queue_stats['high_water']}/{queue_stats['capacity']}, "
-              f"no failed requests")
-    else:
-        print(f"\ndemo FAIL: statuses {open_report.statuses}, "
-              f"queue {queue_stats}")
-    return 0 if ok else 1
-
-
 def _cmd_autotune(args) -> int:
     import json
 
-    if args.self_check:
-        return _autotune_self_check(args)
     if args.state is None:
-        print("repro autotune needs --state FILE (or --self-check)",
-              file=sys.stderr)
+        print("repro autotune needs --state FILE", file=sys.stderr)
         return 2
 
     from repro.autotune import AutotuneState
@@ -671,237 +592,6 @@ def _cmd_autotune(args) -> int:
     for sig_key, record in sorted(state.champions.items()):
         print(f"    {record.arm_id:<16} baseline "
               f"{record.baseline_mean:.3e}s  [{sig_key}]")
-    return 0
-
-
-def _autotune_self_check(args) -> int:
-    """End-to-end tuner exercise on live contractions (the CI gate).
-
-    Four assertions: exploration happens on eligible traffic; explored
-    executions are numerically identical to the champion's; a
-    synthetically skewed challenger is promoted and a synthetic
-    regression rolls it back; flushed state round-trips into a fresh
-    tuner (warm start).
-    """
-    import os
-    import tempfile
-
-    import numpy as np
-
-    from repro.autotune import (
-        CHAMPION_ARM,
-        OnlineTuner,
-        TunerConfig,
-        pairwise_candidates,
-    )
-    from repro.data.random_tensors import random_coo
-    from repro.machine.specs import DESKTOP
-    from repro.runtime import ContractionRuntime
-    from repro.runtime.signature import signature_for
-
-    rounds = 24 if args.quick else 80
-    failures: list[str] = []
-
-    def check(ok: bool, label: str) -> None:
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures.append(label)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "autotune.json")
-        runtime = ContractionRuntime(machine=DESKTOP)
-        tuner = OnlineTuner(DESKTOP, TunerConfig(
-            explore_rate=0.25, min_trials=2, promote_margin=0.05,
-            refit_every=8, state_path=path, default_eligible=True,
-            seed=args.seed,
-        )).attach(runtime)
-
-        left = random_coo((48, 40), nnz=320, seed=args.seed)
-        right = random_coo((40, 44), nnz=320, seed=args.seed + 1)
-        reference = runtime.contract(left, right, [(1, 0)]).to_dense()
-
-        print("autotune self-check:")
-        max_diff = 0.0
-        for _ in range(rounds):
-            out = runtime.contract(left, right, [(1, 0)])
-            max_diff = max(
-                max_diff, float(np.abs(out.to_dense() - reference).max())
-            )
-        metrics = tuner.metrics()
-        check(metrics["explorations"] > 0,
-              f"exploration under budget ({metrics['explorations']} of "
-              f"{metrics['eligible_calls']} eligible calls)")
-        check(max_diff <= 1e-8 * max(1.0, float(np.abs(reference).max())),
-              f"explored results match champion (max diff {max_diff:.2e})")
-
-        # Synthetic skew on a *fresh* signature (the live loop above may
-        # already hold promotions or cooldowns on its own): a fast
-        # challenger must be promoted, then a regression rolled back.
-        sig = signature_for(
-            random_coo((32, 28), nnz=200, seed=args.seed + 2),
-            random_coo((28, 36), nnz=200, seed=args.seed + 3),
-            [(1, 0)], DESKTOP,
-        )
-        arm = pairwise_candidates(sig, DESKTOP)[0].arm_id
-        for _ in range(3):
-            tuner.observe_pairwise(sig, CHAMPION_ARM, 10e-3)
-            tuner.observe_pairwise(sig, arm, 1e-3)
-        promoted = tuner.state.champion(sig.key)
-        check(promoted is not None and promoted.arm_id == arm,
-              f"synthetic skew promotes the fast challenger ({arm})")
-        for _ in range(8):
-            tuner.observe_pairwise(sig, None, 100e-3)
-        check(tuner.state.champion(sig.key) is None and tuner.rollbacks >= 1,
-              "synthetic regression rolls the promotion back")
-
-        flushed = tuner.flush()
-        samples_before = tuner.state.store.summary()["samples"]
-
-        runtime2 = ContractionRuntime(machine=DESKTOP)
-        tuner2 = OnlineTuner(DESKTOP, TunerConfig(
-            state_path=path, default_eligible=True,
-        )).attach(runtime2)
-        samples_after = tuner2.state.store.summary()["samples"]
-        check(flushed == path and tuner2.state.loaded_from == path
-              and samples_after == samples_before,
-              f"persisted state round-trips ({samples_after} samples "
-              f"warm-started)")
-
-    if failures:
-        print(f"self-check FAIL: {len(failures)} of 5 checks failed")
-        return 1
-    print("self-check PASS")
-    return 0
-
-
-def _cmd_stream(args) -> int:
-    if not args.demo:
-        print("repro stream currently only supports --demo", file=sys.stderr)
-        return 2
-    return _stream_demo(args)
-
-
-def _stream_demo(args) -> int:
-    """End-to-end streaming exercise (the CI gate).
-
-    Checks: a registered stream matches einsum; a small delta takes the
-    incremental path and its patched output is *bit-identical* (same
-    coordinates, same bytes of values) to a from-scratch contraction of
-    the mutated tensor under the same plan; a sweeping delta falls back
-    to full recompute; the stale-read guard fires between a bump and
-    its refresh; and the ``stream`` request kind round-trips through a
-    live :class:`~repro.serve.ContractionService`.
-    """
-    import time
-
-    import numpy as np
-
-    import repro
-    from repro.data.random_tensors import random_coo
-    from repro.errors import StaleReadError
-    from repro.machine.specs import DESKTOP
-    from repro.serve import ContractionService, Request, ServiceConfig
-    from repro.streaming import DeltaBatch, IncrementalEngine
-
-    failures: list[str] = []
-
-    def check(ok: bool, label: str) -> None:
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures.append(label)
-
-    nnz = 1200 if args.quick else 6000
-    left = random_coo((2048, 48), nnz=nnz, seed=args.seed)
-    right = random_coo((48, 400), nnz=nnz // 2, seed=args.seed + 1)
-
-    print("stream demo:")
-    engine = IncrementalEngine(DESKTOP)
-    out0 = engine.register("demo", left, right, [(1, 0)])
-    expect0 = repro.einsum("ij,jk->ik", left, right)
-    check(out0.allclose(expect0), "registered stream matches einsum")
-
-    # A delta confined to one row block (insert, update and delete all
-    # land on nearby rows): one touched tile, so the density model
-    # prices the patch far below a full recompute.
-    victim = left.coords[:, int(np.argmin(left.coords[0]))]
-    delta = DeltaBatch.from_ops(
-        [("insert", (int(victim[0]), j % left.shape[1]), 1.0 + j)
-         for j in range(8)]
-        + [("delete", tuple(victim), 0.0)],
-        left.shape,
-    )
-    t0 = time.perf_counter()
-    stats = engine.apply_delta("demo", delta)
-    dt_inc = time.perf_counter() - t0
-    mutated = delta.apply(left)
-    check(
-        stats.mode == "incremental",
-        f"small delta takes the incremental path (modeled fraction "
-        f"{stats.modeled_fraction:.3f}, {stats.tiles_touched} of "
-        f"{stats.tiles_total} tiles)",
-    )
-    out1 = engine.result("demo")
-    fresh = IncrementalEngine(DESKTOP)
-    ref1 = fresh.register(
-        "ref", mutated, right, [(1, 0)], plan=engine._state("demo").plan
-    )
-    check(
-        np.array_equal(out1.coords, ref1.coords)
-        and np.array_equal(out1.values, ref1.values),
-        "patched output is bit-identical to a from-scratch contraction",
-    )
-
-    # A delta sweeping most row blocks must fall back to full recompute.
-    rows = np.linspace(0, left.shape[0] - 1, 400).astype(int)
-    wide = DeltaBatch.inserts(
-        np.stack([rows, np.full(rows.size, 3)]),
-        np.ones(rows.size), left.shape,
-    )
-    t0 = time.perf_counter()
-    stats_full = engine.apply_delta("demo", wide)
-    dt_full = time.perf_counter() - t0
-    check(
-        stats_full.mode == "full",
-        f"sweeping delta falls back to full recompute (modeled fraction "
-        f"{stats_full.modeled_fraction:.3f})",
-    )
-    check(
-        engine.result("demo").allclose(
-            repro.einsum("ij,jk->ik", wide.apply(mutated), right)
-        ),
-        "output stays correct across the incremental/full chain",
-    )
-    print(f"  (incremental delta {dt_inc * 1e3:.1f} ms, "
-          f"full recompute {dt_full * 1e3:.1f} ms)")
-
-    stale = False
-    engine.tracker.bump("demo.left")
-    try:
-        engine.result("demo")
-    except StaleReadError:
-        stale = True
-    check(stale, "stale-read guard fires between bump and refresh")
-    engine.invalidate("demo")
-
-    with ContractionService(config=ServiceConfig(n_workers=2)) as service:
-        resp = service.call(Request.stream(
-            "served", "register", left=left, right=right, pairs=[(1, 0)],
-        ))
-        resp_d = service.call(Request.stream("served", "delta", delta=delta))
-        ok = (
-            resp.status == "ok" and resp_d.status == "ok"
-            and resp_d.result is not None
-            and resp_d.result.allclose(
-                repro.einsum("ij,jk->ik", mutated, right)
-            )
-        )
-        check(ok, f"stream requests serve end-to-end (delta path "
-                  f"{resp_d.plan_source!r})")
-
-    if failures:
-        print(f"stream demo FAIL: {len(failures)} of 6 checks failed")
-        return 1
-    print("stream demo PASS")
     return 0
 
 
@@ -1030,12 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run a load generator against a live contraction "
                       "service and report SLO metrics"
     )
-    serve.add_argument("--demo", action="store_true",
-                       help="canned capacity-then-overload sequence "
-                            "(exit 1 if the bounded-queue invariant or "
-                            "any request fails)")
-    serve.add_argument("--quick", action="store_true",
-                       help="shrink --demo to the CI smoke budget")
     serve.add_argument("--policy", default="reject",
                        choices=["reject", "shed_oldest", "block"])
     serve.add_argument("--capacity", type=int, default=64,
@@ -1083,8 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(serve)
 
     tune = sub.add_parser(
-        "autotune", help="inspect, replay, reset, or self-check learned "
-                         "autotune state"
+        "autotune", help="inspect, replay, or reset learned autotune state"
     )
     tune.add_argument("--state", default=None,
                       help="autotune state file to operate on")
@@ -1092,27 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the promotion/rollback audit log")
     tune.add_argument("--reset", action="store_true",
                       help="clear the learned state in place")
-    tune.add_argument("--self-check", dest="self_check", action="store_true",
-                      help="run the end-to-end tuner exercise (explore, "
-                           "promote, roll back, persist) and exit nonzero "
-                           "on any failed check")
-    tune.add_argument("--quick", action="store_true",
-                      help="shrink --self-check to the CI smoke budget")
-    tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--json", action="store_true",
                       help="machine-readable output")
-
-    stream = sub.add_parser(
-        "stream", help="exercise the streaming subsystem (delta "
-                       "ingestion, incremental re-contraction)"
-    )
-    stream.add_argument("--demo", action="store_true",
-                        help="canned register/delta/fallback sequence "
-                             "(exit 1 if any bit-identity, pricing or "
-                             "staleness check fails)")
-    stream.add_argument("--quick", action="store_true",
-                        help="shrink --demo to the CI smoke budget")
-    stream.add_argument("--seed", type=int, default=0)
 
     con = sub.add_parser("contract", help="contract two .tns files")
     con.add_argument("file_a")
@@ -1138,7 +802,6 @@ def main(argv=None) -> int:
         "network": _cmd_network,
         "serve": _cmd_serve,
         "autotune": _cmd_autotune,
-        "stream": _cmd_stream,
     }[args.command]
     return handler(args)
 

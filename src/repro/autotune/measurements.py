@@ -183,7 +183,12 @@ class MeasurementStore:
     # -- merge / persistence -------------------------------------------
 
     def merge(self, other: "MeasurementStore") -> None:
-        """Fold another store in (associative on the running moments)."""
+        """Fold another store in (associative on the running moments).
+
+        Merged signatures and their arms become the most recent, in the
+        peer's order, before eviction runs — so a full store evicts its
+        own untouched entries, never the ones that just gained samples.
+        """
         with other._lock:
             snapshot = [
                 (sig, [(arm, s.to_json()) for arm, s in arms.items()])
@@ -192,6 +197,7 @@ class MeasurementStore:
         with self._lock:
             for sig, arms in snapshot:
                 mine = self._entries.setdefault(sig, OrderedDict())
+                self._entries.move_to_end(sig)
                 for arm_id, doc in arms:
                     incoming = ArmStats.from_json(doc)
                     stats = mine.get(arm_id)
@@ -199,6 +205,7 @@ class MeasurementStore:
                         mine[arm_id] = incoming
                     else:
                         stats.merge(incoming)
+                        mine.move_to_end(arm_id)
                     self.total_samples += incoming.count
                 while len(mine) > self.max_arms:
                     mine.popitem(last=False)

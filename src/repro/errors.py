@@ -100,6 +100,6 @@ class StaleReadError(StreamError):
 
     The :class:`repro.streaming.DependencyTracker` raises this when a
     consumer asserts freshness on an artifact whose underlying tensor
-    has been mutated since the artifact was (re)built — the dynamic
-    counterpart of the static ``FSTC701`` lint.
+    has been mutated since the artifact was (re)built; its message
+    names diagnostic code ``FSTC701``.
     """

@@ -25,6 +25,7 @@ All reuse is observable through the standard
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -148,7 +149,12 @@ class ContractionRuntime:
         self.calibrator = CostCalibrator(machine=machine) if calibrate else None
         self.n_workers = int(n_workers)
         self.counters = Counters()
-        self.records: list[RunRecord] = []
+        # Running totals behind metrics(); callers that want per-call
+        # records ask for them with ``return_record=True``.
+        self._totals_lock = threading.Lock()
+        self._calls = 0
+        self._measured_seconds = 0.0
+        self._seconds_saved = 0.0
         # id(tensor) -> _OperandEntry.  Pins (refcounted) exempt an
         # entry from eviction: a prepared network pins its hoisted
         # operands so churn from per-step intermediates cannot evict
@@ -253,9 +259,8 @@ class ContractionRuntime:
         Mirrors :func:`repro.core.contraction.contract`'s interface and
         output; the difference is where the plan and the tiled tables
         come from.  ``return_record`` appends this call's
-        :class:`RunRecord` to the return value — under a multi-threaded
-        caller (the serve worker pool) this is the only race-free way
-        to read the record, since ``self.records`` interleaves calls.
+        :class:`RunRecord` to the return value; the runtime itself keeps
+        only running totals (see :meth:`metrics`).
         ``backend`` overrides the runtime's default kernel backend for
         this call (``"auto"`` resolves from the problem signature).
         """
@@ -362,7 +367,10 @@ class ContractionRuntime:
             phase_seconds=dict(stats.phase_seconds),
             backend=kernel_backend.name,
         )
-        self.records.append(record)
+        with self._totals_lock:
+            self._calls += 1
+            self._measured_seconds += record.seconds
+            self._seconds_saved += record.seconds_saved
         self.counters.merge(call_counters)
         if counters is not None:
             counters.merge(call_counters)
@@ -505,10 +513,12 @@ class ContractionRuntime:
         c = self.counters
         plan_total = c.plan_cache_hits + c.plan_cache_misses
         table_total = c.table_reuse_hits + c.table_builds
-        measured = sum(r.seconds for r in self.records)
-        saved = sum(r.seconds_saved for r in self.records)
+        with self._totals_lock:
+            calls = self._calls
+            measured = self._measured_seconds
+            saved = self._seconds_saved
         return {
-            "calls": len(self.records),
+            "calls": calls,
             "plan_cache_hits": c.plan_cache_hits,
             "plan_cache_misses": c.plan_cache_misses,
             "plan_hit_rate": c.plan_cache_hits / plan_total if plan_total else 0.0,
@@ -599,15 +609,14 @@ class BatchExecutor:
 
     def run(self, items: Sequence) -> BatchReport:
         items = [BatchItem.coerce(it) for it in items]
-        start = len(self.runtime.records)
-        outputs = []
+        outputs, records = [], []
         for k, item in enumerate(items):
-            out = self.runtime.contract(
+            out, record = self.runtime.contract(
                 item.left, item.right, item.pairs,
-                name=item.name or f"step{k}",
+                name=item.name or f"step{k}", return_record=True,
             )
             outputs.append(out)
-        records = self.runtime.records[start:]
+            records.append(record)
         return BatchReport(
             records=records, metrics=self.runtime.metrics(), outputs=outputs
         )

@@ -141,11 +141,10 @@ class _InFlight:
 class ShardRouter:
     """Consistent-hash front end over N shard worker processes.
 
-    Construction lints the sharded configuration
-    (:func:`repro.staticcheck.lint_shard_config`): oversubscription and
-    ring-balance findings land on ``config_diagnostics`` (warnings);
-    structurally broken configs raise :class:`ConfigError` before any
-    process spawns.
+    Structurally broken configs raise :class:`ConfigError` when the
+    :class:`ShardedConfig` is built.  A fleet wanting more cores than
+    the host has (``n_shards * n_workers > os.cpu_count()``) is kept as
+    an ``FSTC304`` warning on ``config_diagnostics``.
     """
 
     def __init__(
@@ -153,17 +152,26 @@ class ShardRouter:
         machine: MachineSpec = DESKTOP,
         config: ShardedConfig | None = None,
     ):
-        from repro.staticcheck import has_errors, lint_shard_config
+        from repro.staticcheck.diagnostics import make_diagnostic
 
         self.machine = machine
         self.config = config if config is not None else ShardedConfig()
-        self.config_diagnostics = lint_shard_config(self.config)
-        if has_errors(self.config_diagnostics):
-            findings = "; ".join(
-                d.render() for d in self.config_diagnostics
-                if d.severity == "error"
-            )
-            raise ConfigError(f"refusing unsafe shard config: {findings}")
+        self.config_diagnostics = []
+        n_shards = self.config.n_shards
+        n_workers = self.config.service.n_workers
+        cpus = os.cpu_count() or 1
+        if n_shards > 1 and n_shards * n_workers > cpus:
+            self.config_diagnostics.append(make_diagnostic(
+                "FSTC304",
+                f"{n_shards} shards x {n_workers} workers want "
+                f"{n_shards * n_workers} cores but the host has {cpus}; "
+                "shards will time-slice instead of scaling",
+                hint="size n_shards * n_workers at or below os.cpu_count(), "
+                     "or accept latency inflation on an oversubscribed host",
+                location="sharded config",
+                data={"n_shards": n_shards, "n_workers": n_workers,
+                      "cpus": cpus},
+            ))
 
         self._ctx = mp.get_context("spawn")
         self._shards: dict[int, _Shard] = {

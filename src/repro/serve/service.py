@@ -32,12 +32,11 @@ executor with the serving machinery the ROADMAP's traffic shape needs:
   latency histograms, terminal status counts, queue stats and the
   runtime/network cache hit rates, exported as one JSON document.
 
-Construction lints the configuration through
-:func:`repro.staticcheck.lint_service_config` and — when autotuning is
-enabled — :func:`repro.staticcheck.lint_autotune_config`, refusing
-error-severity findings (``FSTC301``, ``FSTC601``, ``FSTC603``), so an
+:class:`ServiceConfig` refuses unsafe settings when it is built
+(``ConfigError`` naming ``FSTC301``, ``FSTC601`` or ``FSTC603``), so an
 unbounded queue or a runaway exploration rate can not reach
-production; warnings are kept on ``config_diagnostics``.
+production; the service keeps the warning-severity codes on
+``config_diagnostics``.
 """
 
 from __future__ import annotations
@@ -47,11 +46,14 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.core.model import choose_plan
+from repro.core.plan import ContractionSpec
 from repro.errors import ConfigError, ReproError, SchedulerError
+from repro.machine.cost_model import AccessCostModel, ProblemShape
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.network.executor import NetworkExecutor, StepResultCache
 from repro.network.ir import TensorNetwork
-from repro.network.optimize import resolve_optimizer
+from repro.network.optimize import build_plan, resolve_optimizer
 from repro.network.plan import NetworkSignature
 from repro.runtime.executor import ContractionRuntime
 from repro.runtime.signature import signature_for
@@ -73,7 +75,17 @@ from repro.serve.request import (
 )
 from repro.serve.slo import ServiceMetrics
 
-__all__ = ["ServiceConfig", "ContractionService"]
+__all__ = ["ServiceConfig", "ContractionService", "cost_floor_seconds"]
+
+#: Above this fraction of eligible traffic, exploration is the workload.
+MAX_EXPLORE_RATE = 0.5
+
+#: Above this staleness threshold the density model prices a patch at
+#: most of a full recompute, so incremental bookkeeping stops paying.
+MAX_SANE_STALENESS = 0.75
+
+#: A mutation-log bound above this is unbounded for practical purposes.
+MAX_SANE_LOG_MAXLEN = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,12 @@ class ServiceConfig:
     learned state (calibrated weights, measurements, champions) across
     restarts; leaving it unset relearns from scratch every process
     (``FSTC602`` warns).
+
+    Construction refuses a queue, pool or batch size below one
+    (``FSTC301``), and with ``autotune`` an exploration rate outside
+    ``(0, 0.5]`` (``FSTC601``) or a promotion margin that is not
+    positive (``FSTC603``).  The ``stream_*`` fields take the same range
+    check as :class:`~repro.streaming.IncrementalEngine`.
     """
 
     queue_capacity: int = 64
@@ -133,7 +151,7 @@ class ServiceConfig:
     autotune_max_queue_depth: int = 4
     # Streaming (``stream`` request kind): fraction of the modeled full
     # recompute below which a delta is serviced by tile patching, and
-    # the per-stream mutation-log bound.  Linted as FSTC703/FSTC704.
+    # the per-stream mutation-log bound (FSTC703/FSTC704 warn).
     stream_staleness_threshold: float = 0.35
     stream_log_maxlen: int = 256
 
@@ -147,12 +165,137 @@ class ServiceConfig:
                 f"degrade_margin must be >= 0, got {self.degrade_margin}"
             )
         from repro.backends.registry import known_backends
+        from repro.streaming.engine import check_stream_limits
 
         if self.backend != "auto" and self.backend not in known_backends():
             raise ConfigError(
                 f"backend must be 'auto' or one of {known_backends()}, "
                 f"got {self.backend!r}"
             )
+        for name in ("queue_capacity", "n_workers", "max_batch"):
+            value = getattr(self, name)
+            if value is None or value < 1:
+                raise ConfigError(
+                    f"FSTC301: {name} {value!r} leaves the admission queue "
+                    "unbounded or undrainable; use a positive bound"
+                )
+        if self.autotune:
+            rate = self.autotune_explore_rate
+            if rate <= 0.0:
+                raise ConfigError(
+                    f"FSTC601: autotune_explore_rate {rate} never explores, "
+                    "so the tuner can never learn; use a rate in "
+                    f"(0, {MAX_EXPLORE_RATE}] or autotune=False"
+                )
+            if rate > MAX_EXPLORE_RATE:
+                raise ConfigError(
+                    f"FSTC601: autotune_explore_rate {rate} makes "
+                    "exploration the workload; keep it at or below "
+                    f"{MAX_EXPLORE_RATE}"
+                )
+            if self.autotune_promote_margin <= 0.0:
+                raise ConfigError(
+                    f"FSTC603: autotune_promote_margin "
+                    f"{self.autotune_promote_margin} promotes on any mean "
+                    "difference, so noise would oscillate the champion"
+                )
+        check_stream_limits(
+            self.stream_staleness_threshold, self.stream_log_maxlen
+        )
+
+
+def _config_warnings(config: ServiceConfig, machine: MachineSpec) -> list:
+    """Warning-severity findings (``FSTC303``/``602``/``604``/``703``/
+    ``704``) for running ``config`` on ``machine``."""
+    from repro.staticcheck.diagnostics import make_diagnostic
+
+    where = "service config"
+    out = []
+    if config.n_workers > machine.n_cores:
+        out.append(make_diagnostic(
+            "FSTC303",
+            f"{config.n_workers} workers oversubscribe {machine.name}'s "
+            f"{machine.n_cores} cores",
+            hint="size the pool at or below the core count the cost "
+                 "model was calibrated for",
+            location=where,
+        ))
+    if config.autotune and config.autotune_state_path is None:
+        out.append(make_diagnostic(
+            "FSTC602",
+            "learned autotune state is not persisted; every restart "
+            "relearns from zero and shard workers cannot warm-start",
+            hint="set autotune_state_path (or the router's cache_dir)",
+            location=where,
+        ))
+    if config.autotune and config.autotune_min_trials < 2:
+        out.append(make_diagnostic(
+            "FSTC604",
+            f"trials floor {config.autotune_min_trials} promotes or rolls "
+            "back on a single wall-clock sample",
+            hint="set autotune_min_trials to at least 2",
+            location=where,
+        ))
+    if config.stream_staleness_threshold > MAX_SANE_STALENESS:
+        out.append(make_diagnostic(
+            "FSTC703",
+            f"staleness threshold {config.stream_staleness_threshold} "
+            "patches even when the density model prices the patch at "
+            f"more than {MAX_SANE_STALENESS:.0%} of a full recompute",
+            hint=f"keep stream_staleness_threshold at or below "
+                 f"{MAX_SANE_STALENESS}",
+            location=where,
+        ))
+    if config.stream_log_maxlen > MAX_SANE_LOG_MAXLEN:
+        out.append(make_diagnostic(
+            "FSTC704",
+            f"mutation-log bound {config.stream_log_maxlen} is effectively "
+            f"unbounded (> {MAX_SANE_LOG_MAXLEN})",
+            hint="bound the log to what replay/audit actually needs",
+            location=where,
+        ))
+    return out
+
+
+def _pairwise_floor(request, machine: MachineSpec) -> float:
+    """Modeled seconds for one pairwise contraction at the planned tiling."""
+    spec = ContractionSpec(
+        tuple(request.left.shape), tuple(request.right.shape),
+        list(request.pairs),
+    )
+    L, R, C = max(1, spec.L), max(1, spec.R), max(1, spec.C)
+    nnz_l, nnz_r = request.left.nnz, request.right.nnz
+    # The planner only consumes L, R and C, so the matrix form of the
+    # linearized problem plans exactly like the request.
+    plan = choose_plan(
+        ContractionSpec((L, C), (C, R), [(1, 0)]), nnz_l, nnz_r, machine
+    )
+    model = AccessCostModel(
+        ProblemShape(L, R, C, max(0, nnz_l), max(0, nnz_r)), machine
+    )
+    estimate = model.tiled_co(plan.tile_l, plan.tile_r)
+    # Each retrieved payload element feeds one multiply-accumulate, so
+    # the data volume doubles as the update count (Section 3.4's proxy).
+    return model.estimated_seconds(estimate, estimate.data_volume)
+
+
+def cost_floor_seconds(request, machine: MachineSpec) -> float:
+    """Optimistic modeled execution seconds for one service request.
+
+    The same Section 5.1/5.3 arithmetic Algorithm 7 runs on: a pairwise
+    request is priced through
+    :class:`~repro.machine.cost_model.AccessCostModel` at the planned
+    tiling, a network request by the modeled total of the cheap
+    left-to-right path.  Returns 0.0 when the model cannot price the
+    request (no floor to enforce is the safe direction for a floor).
+    """
+    try:
+        if request.kind == PAIRWISE:
+            return _pairwise_floor(request, machine)
+        network = TensorNetwork.parse(request.subscripts, request.operands)
+        return float(build_plan(network, machine, "left").est_total_cost)
+    except Exception:  # noqa: BLE001 - unpriceable requests have no floor
+        return 0.0
 
 
 class ContractionService:
@@ -182,29 +325,9 @@ class ContractionService:
         runtime: ContractionRuntime | None = None,
         executor: NetworkExecutor | None = None,
     ):
-        from repro.staticcheck import (
-            has_errors,
-            lint_autotune_config,
-            lint_service_config,
-            lint_stream_config,
-        )
-
         self.machine = machine
         self.config = config if config is not None else ServiceConfig()
-        self.config_diagnostics = lint_service_config(self.config, machine)
-        self.config_diagnostics += lint_autotune_config(
-            self.config, location="service config"
-        )
-        self.config_diagnostics += lint_stream_config(
-            self.config, location="service config"
-        )
-        if has_errors(self.config_diagnostics):
-            findings = "; ".join(
-                d.render() for d in self.config_diagnostics
-                if d.severity == "error"
-            )
-            raise ConfigError(f"refusing unsafe service config: {findings}")
-
+        self.config_diagnostics = _config_warnings(self.config, machine)
         self.runtime = runtime if runtime is not None else ContractionRuntime(
             machine=machine,
             cache_size=self.config.plan_cache_size,
@@ -395,8 +518,6 @@ class ContractionService:
 
     def _cost_floor(self, job: Job) -> float:
         """Memoized model cost floor per affinity key."""
-        from repro.staticcheck import cost_floor_seconds
-
         with self._floors_lock:
             floor = self._floors.get(job.affinity)
         if floor is None:

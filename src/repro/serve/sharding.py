@@ -158,7 +158,7 @@ def ring_shares(
 ) -> dict[Hashable, float]:
     """Fraction of ``keys`` each shard owns (the balance view).
 
-    This is what the ``FSTC305`` lint and the rebalancing hook look at:
+    This is what the rebalancing hook looks at:
     for a *declared* signature set the shares are exact, not
     statistical, so a pathological split is knowable before any load
     is offered.

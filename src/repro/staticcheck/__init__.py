@@ -18,13 +18,17 @@ runs a kernel):
   optimizer-pass plan rewrites against re-derived dataflow facts (the
   :class:`~repro.network.passes.PassVerifier`'s engine).
 
+Configuration rules (``FSTC3xx``/``FSTC6xx``/``FSTC7xx``) live with the
+configs they judge — :class:`repro.serve.ServiceConfig`,
+:class:`repro.serve.ShardRouter`, the streaming tracker — and share
+only the code registry in :mod:`repro.staticcheck.diagnostics`.
+
 The CLI front end is ``python -m repro check``; see
 ``docs/staticcheck.md`` for the code catalogue.
 """
 
 from repro.staticcheck.ast_lint import lint_file, lint_source, lint_tree
 from repro.staticcheck.audit import audit_case, audit_registry, case_problem
-from repro.staticcheck.autotune_lint import lint_autotune_config
 from repro.staticcheck.diagnostics import (
     CODES,
     Diagnostic,
@@ -54,16 +58,6 @@ from repro.staticcheck.pass_lint import (
     verify_rewrite,
 )
 from repro.staticcheck.registry_audit import audit_code_registry
-from repro.staticcheck.service_lint import (
-    cost_floor_seconds,
-    lint_request_deadline,
-    lint_service_config,
-)
-from repro.staticcheck.shard_lint import lint_ring_balance, lint_shard_config
-from repro.staticcheck.stream_lint import (
-    lint_dependency_tracker,
-    lint_stream_config,
-)
 
 __all__ = [
     "CODES",
@@ -77,22 +71,14 @@ __all__ = [
     "audit_code_registry",
     "audit_registry",
     "case_problem",
-    "cost_floor_seconds",
     "diagnostics_to_json",
     "has_errors",
     "hazards_for_stats",
-    "lint_autotune_config",
-    "lint_dependency_tracker",
     "lint_expression",
     "lint_file",
     "lint_plan_annotations",
     "lint_problem",
-    "lint_request_deadline",
-    "lint_ring_balance",
-    "lint_service_config",
-    "lint_shard_config",
     "lint_source",
-    "lint_stream_config",
     "lint_tree",
     "make_diagnostic",
     "max_exit_status",

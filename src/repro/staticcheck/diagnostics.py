@@ -18,7 +18,8 @@ Code ranges
     Task-graph hazards: conflicts detectable from tile-task write sets
     before execution.
 ``FSTC3xx``
-    Service/shard configuration lints.
+    Service/shard configuration rules, raised or warned by
+    :class:`repro.serve.ServiceConfig` and :class:`repro.serve.ShardRouter`.
 ``FSTC4xx``
     Backend-layer discipline: kernel code reaching around the
     :mod:`repro.backends` interface.
@@ -26,11 +27,12 @@ Code ranges
     Optimizer-pass soundness: plan rewrites checked against re-derived
     dataflow facts.
 ``FSTC6xx``
-    Autotune configuration lints: online-exploration knobs that would
-    burn serving latency or lose learned state.
+    Autotune knobs of a serving config that would burn serving latency
+    or lose learned state.
 ``FSTC7xx``
-    Streaming lints: dependency-tracker soundness (stale reads,
-    unreachable invalidation) and mutation-log/staleness configuration.
+    Streaming: dependency-tracker soundness (stale reads, unreachable
+    invalidation, enforced by :class:`repro.streaming.DependencyTracker`)
+    and mutation-log/staleness knobs of a serving config.
 """
 
 from __future__ import annotations
@@ -129,20 +131,18 @@ CODES: dict[str, tuple[Severity, str]] = {
     "FSTC201": (ERROR, "write-write conflict on a shared accumulator tile"),
     "FSTC202": (WARNING, "order-dependent floating-point reduction"),
     "FSTC203": (INFO, "task grid smaller than the worker count"),
-    # --- service configuration lints -------------------------------------
+    # --- service configuration (FSTC302 and FSTC305 are retired) ---------
     "FSTC301": (ERROR, "service admission queue is unbounded or undrainable"),
-    "FSTC302": (WARNING, "request deadline below the model-predicted cost floor"),
     "FSTC303": (WARNING, "worker pool oversubscribes the machine's cores"),
     "FSTC304": (WARNING, "shard processes oversubscribe the host's CPUs"),
-    "FSTC305": (WARNING, "consistent-hash ring is pathologically unbalanced"),
     # --- backend-layer discipline -----------------------------------------
     "FSTC401": (ERROR, "direct NumPy kernel call outside the backend layer"),
-    # --- autotune configuration lints -------------------------------------
+    # --- autotune configuration ------------------------------------------
     "FSTC601": (ERROR, "autotune exploration rate outside the sane band"),
     "FSTC602": (WARNING, "learned autotune state is not persisted"),
     "FSTC603": (ERROR, "champion promotion without a positive margin"),
     "FSTC604": (WARNING, "autotune trials floor below two samples"),
-    # --- streaming lints ---------------------------------------------------
+    # --- streaming -------------------------------------------------------
     "FSTC701": (ERROR, "stale cached artifact is still registered for reads"),
     "FSTC702": (ERROR, "artifact tracked with no dependencies (invalidation cannot reach it)"),
     "FSTC703": (WARNING, "staleness threshold misprices incremental patching"),

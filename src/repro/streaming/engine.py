@@ -54,11 +54,31 @@ from repro.streaming.delta import DeltaBatch, MutationLog
 from repro.streaming.version import DependencyTracker
 from repro.tensors.coo import COOTensor
 
-__all__ = ["IncrementalEngine", "StreamState", "StreamStats"]
+__all__ = [
+    "IncrementalEngine",
+    "StreamState",
+    "StreamStats",
+    "check_stream_limits",
+]
 
 #: Default modeled-work fraction above which a delta triggers a full
 #: recompute instead of tile patching (see Section 5.1 pricing below).
 DEFAULT_STALENESS_THRESHOLD = 0.35
+
+
+def check_stream_limits(staleness_threshold: float, log_maxlen: int) -> None:
+    """Raise :class:`ConfigError` for knobs no engine can run with.
+
+    Shared by :class:`IncrementalEngine` and
+    :class:`repro.serve.ServiceConfig` (its ``stream_*`` fields), so a
+    service refuses at construction what its engine would refuse later.
+    """
+    if not 0.0 < staleness_threshold <= 1.0:
+        raise ConfigError(
+            f"staleness_threshold must be in (0, 1], got {staleness_threshold}"
+        )
+    if log_maxlen < 1:
+        raise ConfigError(f"log_maxlen must be >= 1, got {log_maxlen}")
 
 
 @dataclass
@@ -148,12 +168,7 @@ class IncrementalEngine:
         tracker: DependencyTracker | None = None,
         log_maxlen: int = 256,
     ):
-        if not 0.0 < staleness_threshold <= 1.0:
-            raise ConfigError(
-                f"staleness_threshold must be in (0, 1], got {staleness_threshold}"
-            )
-        if log_maxlen < 1:
-            raise ConfigError(f"log_maxlen must be >= 1, got {log_maxlen}")
+        check_stream_limits(staleness_threshold, log_maxlen)
         self.machine = machine
         self.staleness_threshold = float(staleness_threshold)
         self.n_workers = int(n_workers)

@@ -18,8 +18,8 @@ explicit and checkable:
   intersects the mutation and returns the invalidated ids, so callers
   can fan the invalidation out to the owning caches;
 * consumers guard reads with :meth:`DependencyTracker.assert_fresh`,
-  which raises :class:`~repro.errors.StaleReadError` — the dynamic twin
-  of the static ``FSTC701`` lint (:mod:`repro.staticcheck.stream_lint`).
+  which raises :class:`~repro.errors.StaleReadError` (code ``FSTC701``);
+  an artifact registered with no dependencies is refused (``FSTC702``).
 
 The tracker is deliberately cache-agnostic: it stores opaque artifact
 ids and never holds the artifacts themselves, so it cannot leak memory
@@ -128,8 +128,8 @@ class DependencyTracker:
         """
         if not deps:
             raise StreamError(
-                f"artifact {artifact_id!r} registered with no dependencies; "
-                "it could never be invalidated"
+                f"FSTC702: artifact {artifact_id!r} registered with no "
+                "dependencies; it could never be invalidated"
             )
         norm: dict[str, frozenset | None] = {}
         for name, tiles in deps.items():
@@ -212,7 +212,8 @@ class DependencyTracker:
                     if artifact.seen.get(name, 0) != self._versions.get(name, 0)
                 ]
                 raise StaleReadError(
-                    f"artifact {artifact_id!r} ({artifact.kind}) is stale: "
+                    f"FSTC701: artifact {artifact_id!r} ({artifact.kind}) "
+                    "is stale: "
                     + (", ".join(moved) if moved else "invalidated dependency")
                 )
 

@@ -138,6 +138,29 @@ class TestMeasurementStore:
         assert a.stats_for("t", "y").count == 1
         assert a.summary()["samples"] == 4
 
+    def test_merge_refreshes_recency_before_eviction(self):
+        # A full store merging a peer that holds c and a: both become the
+        # most recent (in the peer's order), so the untouched b is the
+        # one evicted, not a, which just received the peer's samples.
+        mine, peer = MeasurementStore(max_signatures=2), MeasurementStore()
+        mine.observe("a", "x", 0.1)
+        mine.observe("b", "x", 0.1)
+        peer.observe("c", "x", 0.2)
+        peer.observe("a", "x", 0.3)
+        mine.merge(peer)
+        assert mine.signatures() == ["c", "a"]
+        assert mine.evicted_signatures == 1
+        assert mine.trials("a", "x") == 2
+
+    def test_merge_refreshes_arm_recency(self):
+        mine, peer = MeasurementStore(max_arms=2), MeasurementStore()
+        mine.observe("s", "a1", 0.1)
+        mine.observe("s", "a2", 0.1)
+        peer.observe("s", "a3", 0.1)
+        peer.observe("s", "a1", 0.1)
+        mine.merge(peer)
+        assert list(mine.arms("s")) == ["a3", "a1"]
+
     def test_merge_does_not_mutate_source(self):
         a, b = MeasurementStore(), MeasurementStore()
         b.observe("s", "x", 1.0)

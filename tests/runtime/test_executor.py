@@ -53,8 +53,8 @@ class TestRuntimeContract:
         rt.contract(a, b, pairs, counters=cold)
         cold_after = cold.snapshot()
         warm = Counters()
-        rt.contract(a, b, pairs, counters=warm)
-        assert rt.records[-1].tables_reused == (True, True)
+        _, record = rt.contract(a, b, pairs, counters=warm, return_record=True)
+        assert record.tables_reused == (True, True)
         assert warm.hash_queries == cold.hash_queries > 0
         # The warm call's lookups land on it, not on the call that
         # built (and still owns) the cached tables.
@@ -64,14 +64,16 @@ class TestRuntimeContract:
         a, b, pairs = tensors
         rt = ContractionRuntime()
         rt.contract(a, b, pairs)
-        _, stats = rt.contract(a, b, pairs, return_stats=True)
+        _, stats, record = rt.contract(
+            a, b, pairs, return_stats=True, return_record=True
+        )
         # Reused tables: the construction phase is (measured) epsilon,
         # and linearization was skipped outright.
         assert stats.phase_seconds["build_tables"] < 1e-3
         assert stats.phase_seconds["linearize"] == 0.0
-        assert rt.records[-1].plan_source == "cache"
-        assert rt.records[-1].tables_reused == (True, True)
-        assert rt.records[-1].seconds_saved > 0
+        assert record.plan_source == "cache"
+        assert record.tables_reused == (True, True)
+        assert record.seconds_saved > 0
 
     def test_return_stats_shape(self, tensors):
         a, b, pairs = tensors

@@ -204,7 +204,7 @@ class TestConfigValidation:
 
 
 class TestInterruptSafety:
-    """Regression: `serve --demo` used to leak spawned shard processes
+    """Regression: `serve --shards N` used to leak spawned shard processes
     when a KeyboardInterrupt landed during startup — the CLI's context
     manager never ran __exit__ for an exception raised inside start().
     The CLI now calls close() from a finally block, and close() must

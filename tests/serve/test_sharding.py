@@ -34,8 +34,7 @@ class TestHashRing:
 
     def test_balance_within_tolerance(self):
         # 128 vnodes/shard keeps each shard's share of a large key set
-        # within ~2x of fair — the statistical guarantee FSTC305's
-        # PATHOLOGICAL_SHARE threshold is calibrated against.
+        # within ~2x of fair.
         ring = HashRing(range(4))
         shares = ring_shares(ring, KEYS)
         assert sum(shares.values()) == pytest.approx(1.0)

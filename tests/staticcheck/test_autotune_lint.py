@@ -1,27 +1,33 @@
-"""Unit tests for the FSTC6xx autotune-configuration lints."""
-
-from types import SimpleNamespace
+"""FSTC6xx: a serving config with ``autotune=True`` judges its knobs."""
 
 import pytest
 
 from repro.autotune import TunerConfig
-from repro.staticcheck import has_errors, lint_autotune_config
+from repro.errors import ConfigError
+from repro.machine.specs import DESKTOP
+from repro.serve import ContractionService, ServiceConfig
 from repro.staticcheck.diagnostics import CODES
 
 
-def config(**overrides) -> SimpleNamespace:
-    # Duck-typed like the FSTC3xx lints: a plain namespace is the
-    # documented stand-in for TunerConfig / ServiceConfig.
+@pytest.fixture(autouse=True)
+def _in_tmp(tmp_path, monkeypatch):
+    # The default config's relative state path resolves under tmp_path.
+    monkeypatch.chdir(tmp_path)
+
+
+def config(**overrides) -> ServiceConfig:
     base = dict(
-        explore_rate=0.1, min_trials=3, promote_margin=0.05,
-        state_path="/tmp/state.json",
+        autotune=True, autotune_explore_rate=0.1, autotune_min_trials=3,
+        autotune_promote_margin=0.05, autotune_state_path="state.json",
     )
     base.update(overrides)
-    return SimpleNamespace(**base)
+    return ServiceConfig(**base)
 
 
-def codes(findings):
-    return [f.code for f in findings]
+def codes(**overrides):
+    """Warning codes of a never-started service built from ``config``."""
+    service = ContractionService(DESKTOP, config(**overrides))
+    return [d.code for d in service.config_diagnostics]
 
 
 class TestRegistry:
@@ -34,72 +40,64 @@ class TestRegistry:
 
 class TestExploreRate:
     def test_clean_config_has_no_findings(self):
-        assert lint_autotune_config(config()) == []
+        assert codes() == []
 
     @pytest.mark.parametrize("rate", [0.0, -0.5])
     def test_non_positive_rate_is_an_error(self, rate):
-        findings = lint_autotune_config(config(explore_rate=rate))
-        assert codes(findings) == ["FSTC601"]
-        assert has_errors(findings)
-        assert "never explore" in findings[0].message
+        with pytest.raises(ConfigError, match="FSTC601.*never explores"):
+            config(autotune_explore_rate=rate)
 
     def test_excessive_rate_is_an_error(self):
-        findings = lint_autotune_config(config(explore_rate=0.75))
-        assert codes(findings) == ["FSTC601"]
-        assert "workload" in findings[0].message
+        with pytest.raises(ConfigError, match="FSTC601.*workload"):
+            config(autotune_explore_rate=0.75)
 
     def test_half_rate_is_the_boundary(self):
-        assert lint_autotune_config(config(explore_rate=0.5)) == []
+        assert codes(autotune_explore_rate=0.5) == []
 
 
 class TestPersistenceAndGates:
     def test_unpersisted_state_warns(self):
-        findings = lint_autotune_config(config(state_path=None))
-        assert codes(findings) == ["FSTC602"]
-        assert not has_errors(findings)
+        assert codes(autotune_state_path=None) == ["FSTC602"]
 
     def test_zero_margin_is_an_error(self):
-        findings = lint_autotune_config(config(promote_margin=0.0))
-        assert codes(findings) == ["FSTC603"]
-        assert has_errors(findings)
+        with pytest.raises(ConfigError, match="FSTC603"):
+            config(autotune_promote_margin=0.0)
 
     def test_low_trials_floor_warns(self):
-        findings = lint_autotune_config(config(min_trials=1))
-        assert codes(findings) == ["FSTC604"]
-        assert not has_errors(findings)
+        assert codes(autotune_min_trials=1) == ["FSTC604"]
 
     def test_everything_wrong_fires_everything(self):
-        findings = lint_autotune_config(config(
-            explore_rate=0.9, state_path=None,
-            promote_margin=-0.1, min_trials=0,
-        ))
-        assert codes(findings) == [
-            "FSTC601", "FSTC602", "FSTC603", "FSTC604",
+        assert codes(autotune_state_path=None, autotune_min_trials=1) == [
+            "FSTC602", "FSTC604",
         ]
+        with pytest.raises(ConfigError, match="FSTC601"):
+            config(autotune_explore_rate=0.9, autotune_promote_margin=-0.1)
+        with pytest.raises(ConfigError, match="FSTC603"):
+            config(autotune_promote_margin=-0.1)
 
 
 class TestDuckTyping:
     def test_disabled_tuner_lints_clean(self):
-        bad = config(autotune=False, explore_rate=5.0, state_path=None)
-        assert lint_autotune_config(bad) == []
+        service = ContractionService(DESKTOP, ServiceConfig(
+            autotune=False, autotune_explore_rate=5.0,
+            autotune_promote_margin=0.0, autotune_min_trials=0,
+        ))
+        assert service.config_diagnostics == []
 
     def test_prefixed_spellings_are_read(self):
-        # ServiceConfig carries autotune_-prefixed knobs.
-        service_like = SimpleNamespace(
-            autotune=True, autotune_explore_rate=0.9,
-            autotune_state_path=None, autotune_promote_margin=0.05,
-            autotune_min_trials=3,
-        )
-        assert codes(lint_autotune_config(service_like)) == [
-            "FSTC601", "FSTC602",
-        ]
+        # ServiceConfig's autotune_-prefixed fields carry the knobs.
+        with pytest.raises(ConfigError, match="autotune_explore_rate 0.9"):
+            config(autotune_explore_rate=0.9)
+        assert codes(autotune_min_trials=1) == ["FSTC604"]
 
     def test_real_tuner_config_lints_clean(self, tmp_path):
-        cfg = TunerConfig(state_path=str(tmp_path / "s.json"))
-        assert lint_autotune_config(cfg) == []
+        # The serving band is not TunerConfig's: direct callers may
+        # explore on every eligible call.
+        TunerConfig(state_path=str(tmp_path / "s.json"))
+        TunerConfig(explore_rate=1.0)
 
     def test_location_is_threaded_through(self):
-        findings = lint_autotune_config(
-            config(state_path=None), location="service config"
+        service = ContractionService(
+            DESKTOP, config(autotune_state_path=None)
         )
-        assert findings[0].location == "service config"
+        assert service.config_diagnostics[0].location == "service config"

@@ -1,35 +1,29 @@
-"""Unit tests for the FSTC3xx service-configuration lints."""
+"""FSTC3xx service-configuration rules, raised or warned by the service."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro.data.random_tensors import random_coo
+from repro.errors import ConfigError
 from repro.machine.specs import DESKTOP
-from repro.staticcheck import (
-    cost_floor_seconds,
-    lint_request_deadline,
-    lint_service_config,
-)
+from repro.serve import ContractionService, ServiceConfig, synthetic_requests
+from repro.serve.service import cost_floor_seconds
 from repro.staticcheck.diagnostics import CODES
 
 
-def config(**overrides) -> SimpleNamespace:
-    # The lint is duck-typed so staticcheck never imports repro.serve;
-    # a plain namespace is the documented stand-in.
-    base = dict(queue_capacity=16, n_workers=2, max_batch=8)
-    base.update(overrides)
-    return SimpleNamespace(**base)
+def diagnostics(**overrides):
+    """``config_diagnostics`` of a never-started service."""
+    return ContractionService(
+        DESKTOP, ServiceConfig(**overrides)
+    ).config_diagnostics
 
 
 @pytest.fixture
 def pairwise_request():
     a = random_coo((40, 30), nnz=200, seed=1)
     b = random_coo((30, 20), nnz=150, seed=2)
-    return SimpleNamespace(
-        kind="pairwise", name="r", left=a, right=b, pairs=((1, 0),),
-        deadline_s=None,
-    )
+    return SimpleNamespace(kind="pairwise", left=a, right=b, pairs=((1, 0),))
 
 
 @pytest.fixture
@@ -37,50 +31,44 @@ def network_request():
     a = random_coo((20, 16), nnz=80, seed=3)
     b = random_coo((16, 12), nnz=60, seed=4)
     return SimpleNamespace(
-        kind="network", name="n", subscripts="ij,jk->ik", operands=(a, b),
-        deadline_s=None,
+        kind="network", subscripts="ij,jk->ik", operands=(a, b),
     )
 
 
 class TestRegistry:
     def test_codes_are_registered(self):
         assert CODES["FSTC301"][0] == "error"
-        assert CODES["FSTC302"][0] == "warning"
         assert CODES["FSTC303"][0] == "warning"
+        # Retired with the request-deadline lint; codes stay reserved.
+        assert "FSTC302" not in CODES
 
 
 class TestConfigLint:
     def test_clean_config_has_no_findings(self):
-        assert lint_service_config(config(), DESKTOP) == []
+        assert diagnostics() == []
 
     @pytest.mark.parametrize("capacity", [None, 0, -1])
     def test_unbounded_queue_is_an_error(self, capacity):
-        findings = lint_service_config(
-            config(queue_capacity=capacity), DESKTOP
-        )
-        assert [d.code for d in findings] == ["FSTC301"]
-        assert findings[0].severity == "error"
+        with pytest.raises(ConfigError, match="FSTC301: queue_capacity"):
+            ServiceConfig(queue_capacity=capacity)
 
     def test_zero_workers_is_an_error(self):
-        findings = lint_service_config(config(n_workers=0), DESKTOP)
-        assert [d.code for d in findings] == ["FSTC301"]
+        with pytest.raises(ConfigError, match="FSTC301: n_workers"):
+            ServiceConfig(n_workers=0)
 
     def test_zero_batch_is_an_error(self):
-        findings = lint_service_config(config(max_batch=0), DESKTOP)
-        assert [d.code for d in findings] == ["FSTC301"]
+        with pytest.raises(ConfigError, match="FSTC301: max_batch"):
+            ServiceConfig(max_batch=0)
 
     def test_oversubscribed_pool_warns(self):
-        findings = lint_service_config(
-            config(n_workers=DESKTOP.n_cores + 1), DESKTOP
-        )
+        findings = diagnostics(n_workers=DESKTOP.n_cores + 1)
         assert [d.code for d in findings] == ["FSTC303"]
         assert findings[0].severity == "warning"
 
     def test_location_is_threaded_through(self):
-        findings = lint_service_config(
-            config(queue_capacity=0), DESKTOP, location="svc A"
-        )
-        assert findings[0].location == "svc A"
+        findings = diagnostics(n_workers=DESKTOP.n_cores + 1)
+        assert findings[0].location == "service config"
+        assert findings[0].render().startswith("service config: FSTC303")
 
 
 class TestCostFloor:
@@ -95,26 +83,14 @@ class TestCostFloor:
                                  pairs=())
         assert cost_floor_seconds(broken, DESKTOP) == 0.0
 
-
-class TestDeadlineLint:
-    def test_impossible_deadline_warns(self, pairwise_request):
-        pairwise_request.deadline_s = 1e-12
-        findings = lint_request_deadline(pairwise_request, DESKTOP)
-        assert [d.code for d in findings] == ["FSTC302"]
-        assert findings[0].severity == "warning"
-        assert "floor" in findings[0].message
-
-    def test_network_deadline_checked_too(self, network_request):
-        network_request.deadline_s = 1e-12
-        findings = lint_request_deadline(network_request, DESKTOP)
-        assert [d.code for d in findings] == ["FSTC302"]
-
-    def test_generous_deadline_is_clean(self, pairwise_request):
-        pairwise_request.deadline_s = 3600.0
-        assert lint_request_deadline(pairwise_request, DESKTOP) == []
-
-    def test_no_deadline_is_clean(self, pairwise_request):
-        assert lint_request_deadline(pairwise_request, DESKTOP) == []
+    def test_floors_are_pinned(self):
+        # The degradation ladder compares budgets against these floors,
+        # so their values are part of the service's behaviour.
+        floors = sorted({
+            cost_floor_seconds(r, DESKTOP)
+            for r in synthetic_requests(60, n_signatures=3, seed=0)
+        })
+        assert floors == [1.02e-06, 1.06e-06, 1.1e-06]
 
 
 class TestDocsAudit:

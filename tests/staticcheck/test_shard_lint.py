@@ -1,73 +1,38 @@
-"""Unit tests for the sharded-serving lints (FSTC304/FSTC305)."""
+"""FSTC304: the sharded router warns when its fleet oversubscribes the host."""
 
-from types import SimpleNamespace
+import pytest
 
-from repro.serve import ServiceConfig, ShardedConfig
-from repro.staticcheck import lint_ring_balance, lint_shard_config
+from repro.serve import ServiceConfig, ShardedConfig, ShardRouter
 
 
-def codes(diagnostics):
-    return [d.code for d in diagnostics]
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pin the host's CPU count the router sees (never starts shards)."""
+    def pin(n):
+        monkeypatch.setattr("repro.serve.router.os.cpu_count", lambda: n)
+    return pin
+
+
+def router_diagnostics(n_shards, n_workers):
+    config = ShardedConfig(
+        n_shards=n_shards, service=ServiceConfig(n_workers=n_workers)
+    )
+    return ShardRouter(config=config).config_diagnostics
 
 
 class TestShardConfigLint:
-    def test_oversubscription_flagged(self):
-        config = ShardedConfig(
-            n_shards=4, service=ServiceConfig(n_workers=2)
-        )
-        out = lint_shard_config(config, cpu_count=4)
-        assert codes(out) == ["FSTC304"]
+    def test_oversubscription_flagged(self, cpus):
+        cpus(4)
+        out = router_diagnostics(4, 2)
+        assert [d.code for d in out] == ["FSTC304"]
         assert out[0].severity == "warning"
         assert out[0].data == {"n_shards": 4, "n_workers": 2, "cpus": 4}
 
-    def test_fitting_fleet_is_clean(self):
-        config = ShardedConfig(
-            n_shards=4, service=ServiceConfig(n_workers=2)
-        )
-        assert lint_shard_config(config, cpu_count=8) == []
+    def test_fitting_fleet_is_clean(self, cpus):
+        cpus(8)
+        assert router_diagnostics(4, 2) == []
 
-    def test_single_shard_never_flagged(self):
+    def test_single_shard_never_flagged(self, cpus):
         # One shard is the unsharded regime; FSTC303 owns that story.
-        config = ShardedConfig(
-            n_shards=1, service=ServiceConfig(n_workers=16)
-        )
-        assert lint_shard_config(config, cpu_count=1) == []
-
-    def test_duck_typed_config(self):
-        fake = SimpleNamespace(
-            n_shards=3, service=SimpleNamespace(n_workers=3)
-        )
-        assert codes(lint_shard_config(fake, cpu_count=4)) == ["FSTC304"]
-
-
-class TestRingBalanceLint:
-    def test_balanced_declared_set_is_clean(self):
-        keys = [f"sig{i}" for i in range(64)]
-        assert lint_ring_balance(2, keys) == []
-
-    def test_empty_shard_flagged(self):
-        # One vnode per shard makes starvation likely for a small set.
-        keys = [f"sig{i}" for i in range(6)]
-        found = []
-        for replicas in (1, 2):
-            found.extend(lint_ring_balance(4, keys, replicas=replicas))
-        assert "FSTC305" in codes(found)
-
-    def test_single_shard_or_no_keys_is_clean(self):
-        assert lint_ring_balance(1, ["sig0", "sig1"]) == []
-        assert lint_ring_balance(4, []) == []
-
-    def test_tiny_signature_sets_not_judged_for_skew(self):
-        # With fewer than 2 keys/shard a "pathological" share is just
-        # pigeonholing; only emptiness may be reported.
-        out = lint_ring_balance(3, ["a", "b", "c"])
-        assert all(
-            "own" not in d.message or "none" in d.message for d in out
-        )
-
-    def test_findings_carry_the_share_map(self):
-        keys = [f"sig{i}" for i in range(8)]
-        for diag in lint_ring_balance(4, keys, replicas=1):
-            shares = diag.data["shares"]
-            assert set(shares) == {"0", "1", "2", "3"}
-            assert sum(shares.values()) == 1.0
+        cpus(1)
+        assert router_diagnostics(1, 16) == []

@@ -1,56 +1,46 @@
-"""Unit tests for the FSTC7xx streaming lints."""
+"""FSTC7xx: the tracker enforces 701/702, a service config warns 703/704."""
 
-from types import SimpleNamespace
+import pytest
 
-from repro.staticcheck import (
-    audit_code_registry,
-    lint_dependency_tracker,
-    lint_stream_config,
-)
+from repro.errors import ConfigError, StaleReadError, StreamError
+from repro.machine.specs import DESKTOP
+from repro.serve import ContractionService, ServiceConfig
+from repro.staticcheck import audit_code_registry
 from repro.staticcheck.diagnostics import CODES
 from repro.streaming import DependencyTracker, IncrementalEngine
 
 
-def codes(findings):
-    return sorted(d.code for d in findings)
-
-
-def config(**knobs) -> SimpleNamespace:
-    # Duck-typed stand-in, like the FSTC3xx/FSTC6xx lint tests.
-    return SimpleNamespace(**knobs)
+def codes(**overrides):
+    """Codes a never-started service warns for ``ServiceConfig(**overrides)``."""
+    service = ContractionService(DESKTOP, ServiceConfig(**overrides))
+    return sorted(d.code for d in service.config_diagnostics)
 
 
 class TestTrackerLint:
     def test_clean_tracker_has_no_findings(self):
         tracker = DependencyTracker()
         tracker.register("out", "output", {"a": None})
-        assert lint_dependency_tracker(tracker) == []
+        tracker.assert_fresh("out")
 
     def test_stale_registered_artifact_is_fstc701(self):
         tracker = DependencyTracker()
         tracker.register("out", "output", {"a": None})
         tracker.bump("a")
-        findings = lint_dependency_tracker(tracker, location="unit test")
-        assert codes(findings) == ["FSTC701"]
+        with pytest.raises(StaleReadError, match="FSTC701"):
+            tracker.assert_fresh("out")
         assert CODES["FSTC701"][0] == "error"
-        assert "unit test" in findings[0].location
 
     def test_refresh_clears_fstc701(self):
         tracker = DependencyTracker()
         tracker.register("out", "output", {"a": None})
         tracker.bump("a")
         tracker.refresh("out")
-        assert lint_dependency_tracker(tracker) == []
+        tracker.assert_fresh("out")
 
     def test_depless_artifact_is_fstc702(self):
-        # The real tracker refuses empty deps at register time, so the
-        # lint targets duck-typed stand-ins (hand-rolled trackers).
-        orphan = SimpleNamespace(
-            artifact_id="x", kind="output", deps={}, fresh=True
-        )
-        fake = SimpleNamespace(artifacts=lambda: [orphan])
-        findings = lint_dependency_tracker(fake)
-        assert codes(findings) == ["FSTC702"]
+        tracker = DependencyTracker()
+        with pytest.raises(StreamError, match="FSTC702"):
+            tracker.register("x", "output", {})
         assert CODES["FSTC702"][0] == "error"
 
     def test_engine_tracker_lints_clean_end_to_end(self):
@@ -63,44 +53,49 @@ class TestTrackerLint:
             random_coo((8, 8), nnz=20, seed=1),
             [(1, 0)],
         )
-        assert lint_dependency_tracker(engine.tracker) == []
+        for artifact in engine.tracker.artifacts():
+            assert artifact.deps
+            engine.tracker.assert_fresh(artifact.artifact_id)
 
 
 class TestConfigLint:
     def test_sane_config_is_clean(self):
-        assert lint_stream_config(
-            config(staleness_threshold=0.35, log_maxlen=256)
+        assert codes(
+            stream_staleness_threshold=0.75, stream_log_maxlen=1_000_000
         ) == []
 
     def test_absent_knobs_are_clean(self):
-        assert lint_stream_config(config(unrelated=1)) == []
+        # A config that never sets the stream_* fields gets defaults the
+        # engine accepts and nothing to warn about.
+        assert codes(queue_capacity=8) == []
 
     def test_zero_threshold_is_fstc703(self):
-        findings = lint_stream_config(config(staleness_threshold=0.0))
-        assert codes(findings) == ["FSTC703"]
+        # A threshold that never patches is refused by the range check
+        # the engine applies, not merely warned.
+        with pytest.raises(ConfigError, match="staleness_threshold"):
+            ServiceConfig(stream_staleness_threshold=0.0)
         assert CODES["FSTC703"][0] == "warning"
 
     def test_oversized_threshold_is_fstc703(self):
-        findings = lint_stream_config(config(staleness_threshold=0.9))
-        assert codes(findings) == ["FSTC703"]
+        assert codes(stream_staleness_threshold=0.9) == ["FSTC703"]
 
     def test_unbounded_log_is_fstc704(self):
-        findings = lint_stream_config(config(log_maxlen=0))
-        assert codes(findings) == ["FSTC704"]
+        with pytest.raises(ConfigError, match="log_maxlen"):
+            ServiceConfig(stream_log_maxlen=0)
+        assert codes(stream_log_maxlen=10_000_000) == ["FSTC704"]
         assert CODES["FSTC704"][0] == "warning"
-        findings = lint_stream_config(config(log_maxlen=10_000_000))
-        assert codes(findings) == ["FSTC704"]
 
     def test_stream_prefixed_knobs_are_read(self):
-        # ServiceConfig spells the knobs stream_staleness_threshold /
-        # stream_log_maxlen; the lint accepts both spellings.
-        findings = lint_stream_config(
-            config(stream_staleness_threshold=2.0, stream_log_maxlen=-1)
-        )
-        assert codes(findings) == ["FSTC703", "FSTC704"]
+        assert codes(
+            stream_staleness_threshold=1.0, stream_log_maxlen=2_000_000
+        ) == ["FSTC703", "FSTC704"]
 
     def test_engine_defaults_lint_clean(self):
-        assert lint_stream_config(IncrementalEngine()) == []
+        engine = IncrementalEngine()
+        assert codes(
+            stream_staleness_threshold=engine.staleness_threshold,
+            stream_log_maxlen=engine.log_maxlen,
+        ) == []
 
 
 class TestRegistry:
