@@ -214,7 +214,6 @@ def tiled_co_contract(
     trace=None,
     schedule: str = "heavy_first",
     tables: "tuple[TiledTables, TiledTables] | None" = None,
-    check_hazards: bool = False,
     backend: "str | KernelBackend | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ContractionStats]:
     """Run Algorithm 6 on linearized operands.
@@ -234,12 +233,6 @@ def tiled_co_contract(
     (from :func:`build_tiled_tables_pair`), skipping the construction
     phase entirely — the runtime layer's table-reuse path for batched
     contractions that share an operand.  Tile sizes must match the plan.
-
-    ``check_hazards`` hands the dispatch list's per-task write sets to
-    the task queue, which statically verifies the disjoint-tile
-    invariant (:mod:`repro.staticcheck.graph_lint`) before executing —
-    raising :class:`~repro.errors.SchedulerError` instead of racing if a
-    tile pair is ever repeated.
 
     ``backend`` selects the kernel backend (name, instance, or ``None``
     for the environment default; see :mod:`repro.backends`).  A backend
@@ -400,10 +393,7 @@ def tiled_co_contract(
     stats.task_pairs = pairs_order
 
     t0 = time.perf_counter()
-    write_sets = (
-        [frozenset([p]) for p in pairs_order] if check_hazards else None
-    )
-    records = TaskQueue(n_workers).run(tasks, write_sets=write_sets)
+    records = TaskQueue(n_workers).run(tasks)
     stats.phase_seconds["contract"] = time.perf_counter() - t0
     stats.task_costs = np.array([r.cost for r in records], dtype=np.float64)
 

@@ -21,7 +21,6 @@ __all__ = [
     "StaticCheckError",
     "BackendError",
     "StreamError",
-    "StaleReadError",
 ]
 
 
@@ -90,16 +89,6 @@ class BackendError(ReproError, RuntimeError):
 class StreamError(ReproError, RuntimeError):
     """The :mod:`repro.streaming` subsystem was misused.
 
-    Covers unknown stream names, deltas applied to tensors they were
-    not built for, and mutation-log misuse.
-    """
-
-
-class StaleReadError(StreamError):
-    """A cached artifact was read after a dependency moved past it.
-
-    The :class:`repro.streaming.DependencyTracker` raises this when a
-    consumer asserts freshness on an artifact whose underlying tensor
-    has been mutated since the artifact was (re)built; its message
-    names diagnostic code ``FSTC701``.
+    Covers unknown or doubly registered stream names and deltas
+    applied to tensors they were not built for.
     """

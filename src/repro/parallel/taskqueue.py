@@ -59,31 +59,12 @@ class TaskQueue:
             raise SchedulerError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
 
-    def run(
-        self,
-        tasks: Sequence[Callable[[], object]],
-        *,
-        write_sets: Sequence | None = None,
-    ) -> list[TaskRecord]:
+    def run(self, tasks: Sequence[Callable[[], object]]) -> list[TaskRecord]:
         """Execute every task; returns records ordered by task id.
 
         Any task exception is re-raised in the caller after all workers
         stop (remaining queued tasks are abandoned).
-
-        ``write_sets`` optionally declares, per task, the accumulator
-        tiles that task writes.  When given, the queue statically checks
-        the disjoint-tile invariant *before* running anything and raises
-        :class:`~repro.errors.SchedulerError` on a write-write hazard
-        (see :mod:`repro.staticcheck.graph_lint`).
         """
-        if write_sets is not None:
-            if len(write_sets) != len(tasks):
-                raise SchedulerError(
-                    f"{len(write_sets)} write sets for {len(tasks)} tasks"
-                )
-            from repro.staticcheck.graph_lint import assert_disjoint_writes
-
-            assert_disjoint_writes(write_sets)
         if self.n_workers == 1:
             return self._run_inline(tasks)
         return self._run_threaded(tasks)

@@ -14,7 +14,7 @@ integer **priority** (higher drains first).
 Stream requests key their affinity on the *stream name* rather than a
 structural signature: under the sharded front end every operation on
 one stream consistently hashes to the same shard, so exactly one
-process owns that stream's mutation log and incremental state.
+process owns that stream's incremental state.
 
 Submitting a request yields a :class:`Ticket` — a small future the
 service resolves exactly once with a :class:`Response`.  Every response
@@ -217,8 +217,8 @@ class Request:
 
         Stream requests key on the *stream name* instead: all
         operations on one stream share a key, so consistent hashing
-        pins the stream — its mutation log, incremental tables and
-        cached output — to exactly one shard.
+        pins the stream — its operands, incremental tables and cached
+        output — to exactly one shard.
         """
         if self.kind == STREAM:
             return f"stream:{self.stream_name}"

@@ -585,12 +585,12 @@ class ShardRouter:
         """Drop one stream's cached state on *every* live shard.
 
         Stream requests have shard affinity (one shard owns a stream's
-        mutation log), but ownership can move — a death/respawn or a
+        state), but ownership can move — a death/respawn or a
         ring rebalance reroutes the stream while the old shard still
         holds its incremental state.  Broadcasting the invalidation
         reaches any such orphan, so no shard keeps serving a stale
         cached output for a stream it no longer owns.  Returns
-        ``{shard_id: artifacts_released}``.
+        ``{shard_id: streams_dropped}`` (1 on the holder, 0 elsewhere).
         """
         return self._broadcast("invalidate", name, timeout=timeout)
 

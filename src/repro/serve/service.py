@@ -84,9 +84,6 @@ MAX_EXPLORE_RATE = 0.5
 #: most of a full recompute, so incremental bookkeeping stops paying.
 MAX_SANE_STALENESS = 0.75
 
-#: A mutation-log bound above this is unbounded for practical purposes.
-MAX_SANE_LOG_MAXLEN = 1_000_000
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -126,8 +123,8 @@ class ServiceConfig:
     Construction refuses a queue, pool or batch size below one
     (``FSTC301``), and with ``autotune`` an exploration rate outside
     ``(0, 0.5]`` (``FSTC601``) or a promotion margin that is not
-    positive (``FSTC603``).  The ``stream_*`` fields take the same range
-    check as :class:`~repro.streaming.IncrementalEngine`.
+    positive (``FSTC603``).  ``stream_staleness_threshold`` takes the
+    same range check as :class:`~repro.streaming.IncrementalEngine`.
     """
 
     queue_capacity: int = 64
@@ -150,10 +147,9 @@ class ServiceConfig:
     autotune_state_path: str | None = None
     autotune_max_queue_depth: int = 4
     # Streaming (``stream`` request kind): fraction of the modeled full
-    # recompute below which a delta is serviced by tile patching, and
-    # the per-stream mutation-log bound (FSTC703/FSTC704 warn).
+    # recompute below which a delta is serviced by tile patching
+    # (FSTC703 warns).
     stream_staleness_threshold: float = 0.35
-    stream_log_maxlen: int = 256
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -199,14 +195,12 @@ class ServiceConfig:
                     f"{self.autotune_promote_margin} promotes on any mean "
                     "difference, so noise would oscillate the champion"
                 )
-        check_stream_limits(
-            self.stream_staleness_threshold, self.stream_log_maxlen
-        )
+        check_stream_limits(self.stream_staleness_threshold)
 
 
 def _config_warnings(config: ServiceConfig, machine: MachineSpec) -> list:
-    """Warning-severity findings (``FSTC303``/``602``/``604``/``703``/
-    ``704``) for running ``config`` on ``machine``."""
+    """Warning-severity findings (``FSTC303``/``602``/``604``/``703``)
+    for running ``config`` on ``machine``."""
     from repro.staticcheck.diagnostics import make_diagnostic
 
     where = "service config"
@@ -244,14 +238,6 @@ def _config_warnings(config: ServiceConfig, machine: MachineSpec) -> list:
             f"more than {MAX_SANE_STALENESS:.0%} of a full recompute",
             hint=f"keep stream_staleness_threshold at or below "
                  f"{MAX_SANE_STALENESS}",
-            location=where,
-        ))
-    if config.stream_log_maxlen > MAX_SANE_LOG_MAXLEN:
-        out.append(make_diagnostic(
-            "FSTC704",
-            f"mutation-log bound {config.stream_log_maxlen} is effectively "
-            f"unbounded (> {MAX_SANE_LOG_MAXLEN})",
-            hint="bound the log to what replay/audit actually needs",
             location=where,
         ))
     return out
@@ -485,8 +471,8 @@ class ContractionService:
         shard affinity, but after a death/respawn or a ring rebalance a
         stream's state may survive on a shard that no longer owns it —
         broadcasting makes the invalidation reach any such orphan.
-        Returns the number of tracked artifacts released (0 when this
-        service holds no state for the stream).
+        Returns the number of streams dropped: 1, or 0 when this
+        service holds no state for the stream.
         """
         with self._stream_lock:
             if self._stream_engine is None:
@@ -677,7 +663,6 @@ class ContractionService:
                     staleness_threshold=(
                         self.config.stream_staleness_threshold
                     ),
-                    log_maxlen=self.config.stream_log_maxlen,
                     runtime=self.runtime,
                     backend=(
                         None if self.config.backend == "auto"

@@ -23,7 +23,7 @@ outbound (shard → router, shared by all shards)
     ``("metrics", shard_id, token, payload)`` — metrics reply;
     ``("flushed", shard_id, token, path)`` — flush reply;
     ``("invalidated", shard_id, token, released)`` — invalidation
-    reply (how many tracked artifacts this shard released);
+    reply (how many streams this shard dropped, 1 or 0);
     ``("stopped", shard_id, payload)`` — final metrics, sent last.
 
 Plan-cache **warm-start** rides on the existing JSON persistence: when

@@ -178,29 +178,6 @@ class ServiceMetrics:
             if stage in response.timings:
                 hist.record(response.timings[stage])
 
-    def merge(self, other: "ServiceMetrics") -> "ServiceMetrics":
-        """Fold another tally into this one (in-process aggregation).
-
-        The cross-process equivalent — shards exporting JSON snapshots
-        over IPC — goes through :func:`merge_metrics_json` instead.
-        """
-        with other._lock:
-            submitted = other.submitted
-            completed = other.completed
-            statuses = dict(other.statuses)
-            rungs = dict(other.degrade_rungs)
-        with self._lock:
-            self.submitted += submitted
-            self.completed += completed
-            for status, n in statuses.items():
-                self.statuses[status] = self.statuses.get(status, 0) + n
-            for rung, n in rungs.items():
-                self.degrade_rungs[rung] = self.degrade_rungs.get(rung, 0) + n
-        for stage, hist in self.stages.items():
-            hist.merge(other.stages[stage])
-        self.kernel.merge(other.kernel)
-        return self
-
     def rate(self, status: str) -> float:
         """Fraction of completed requests with the given status."""
         with self._lock:
@@ -395,14 +372,11 @@ def _merge_two_metrics(a: dict, b: dict) -> dict:
             out[key] = _merge_numeric_section(va, vb)
         elif key == "streaming":
             merged = _merge_numeric_section(
-                {k: v for k, v in va.items() if k not in ("streams", "tracker")},
-                {k: v for k, v in vb.items() if k not in ("streams", "tracker")},
+                {k: v for k, v in va.items() if k != "streams"},
+                {k: v for k, v in vb.items() if k != "streams"},
             )
             merged["streams"] = sorted(
                 {*va.get("streams", []), *vb.get("streams", [])}
-            )
-            merged["tracker"] = _merge_numeric_section(
-                va.get("tracker", {}), vb.get("tracker", {})
             )
             out[key] = merged
         elif isinstance(va, bool) or isinstance(vb, bool):

@@ -19,16 +19,20 @@ runs a kernel):
   :class:`~repro.network.passes.PassVerifier`'s engine).
 
 Configuration rules (``FSTC3xx``/``FSTC6xx``/``FSTC7xx``) live with the
-configs they judge — :class:`repro.serve.ServiceConfig`,
-:class:`repro.serve.ShardRouter`, the streaming tracker — and share
-only the code registry in :mod:`repro.staticcheck.diagnostics`.
+configs they judge — :class:`repro.serve.ServiceConfig` and
+:class:`repro.serve.ShardRouter` — and share only the code registry in
+:mod:`repro.staticcheck.diagnostics`.
+
+Only that registry is imported with the package: the lint passes load
+on first access to one of their names, so a serving process that just
+builds :class:`Diagnostic` records never imports them.
 
 The CLI front end is ``python -m repro check``; see
 ``docs/staticcheck.md`` for the code catalogue.
 """
 
-from repro.staticcheck.ast_lint import lint_file, lint_source, lint_tree
-from repro.staticcheck.audit import audit_case, audit_registry, case_problem
+import importlib
+
 from repro.staticcheck.diagnostics import (
     CODES,
     Diagnostic,
@@ -38,26 +42,35 @@ from repro.staticcheck.diagnostics import (
     max_exit_status,
     render_diagnostics,
 )
-from repro.staticcheck.expr_lint import (
-    ExpressionReport,
-    PlanPrediction,
-    lint_expression,
-    lint_problem,
-    predict_plan,
-)
-from repro.staticcheck.graph_lint import (
-    TileTask,
-    analyze_task_graph,
-    assert_disjoint_writes,
-    hazards_for_stats,
-    write_sets_for_pairs,
-)
-from repro.staticcheck.pass_lint import (
-    lint_plan_annotations,
-    self_test_passes,
-    verify_rewrite,
-)
-from repro.staticcheck.registry_audit import audit_code_registry
+#: Public name -> the lint module that defines it (see __getattr__).
+_LAZY = {
+    **dict.fromkeys(("lint_file", "lint_source", "lint_tree"), "ast_lint"),
+    **dict.fromkeys(("audit_case", "audit_registry", "case_problem"), "audit"),
+    **dict.fromkeys(
+        ("ExpressionReport", "PlanPrediction", "lint_expression",
+         "lint_problem", "predict_plan"),
+        "expr_lint",
+    ),
+    **dict.fromkeys(
+        ("TileTask", "analyze_task_graph", "assert_disjoint_writes",
+         "hazards_for_stats", "write_sets_for_pairs"),
+        "graph_lint",
+    ),
+    **dict.fromkeys(
+        ("lint_plan_annotations", "self_test_passes", "verify_rewrite"),
+        "pass_lint",
+    ),
+    "audit_code_registry": "registry_audit",
+}
+
+
+def __getattr__(name: str):
+    """Import a lint pass on first access to one of its public names."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "CODES",

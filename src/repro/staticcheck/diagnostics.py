@@ -30,9 +30,7 @@ Code ranges
     Autotune knobs of a serving config that would burn serving latency
     or lose learned state.
 ``FSTC7xx``
-    Streaming: dependency-tracker soundness (stale reads, unreachable
-    invalidation, enforced by :class:`repro.streaming.DependencyTracker`)
-    and mutation-log/staleness knobs of a serving config.
+    Streaming: the staleness knob of a serving config.
 """
 
 from __future__ import annotations
@@ -142,11 +140,8 @@ CODES: dict[str, tuple[Severity, str]] = {
     "FSTC602": (WARNING, "learned autotune state is not persisted"),
     "FSTC603": (ERROR, "champion promotion without a positive margin"),
     "FSTC604": (WARNING, "autotune trials floor below two samples"),
-    # --- streaming -------------------------------------------------------
-    "FSTC701": (ERROR, "stale cached artifact is still registered for reads"),
-    "FSTC702": (ERROR, "artifact tracked with no dependencies (invalidation cannot reach it)"),
+    # --- streaming (FSTC701, FSTC702 and FSTC704 are retired) ------------
     "FSTC703": (WARNING, "staleness threshold misprices incremental patching"),
-    "FSTC704": (WARNING, "mutation log is unbounded or effectively unbounded"),
     # --- optimizer-pass soundness -----------------------------------------
     "FSTC501": (ERROR, "unsound plan rewrite (structure or interface changed)"),
     "FSTC502": (ERROR, "stale available-expression reuse (CSE target mismatch)"),

@@ -157,9 +157,8 @@ def assert_disjoint_writes(
 ) -> None:
     """Pre-execution gate: raise ``SchedulerError`` on any shared tile.
 
-    Used by :meth:`repro.parallel.taskqueue.TaskQueue.run` when callers
-    hand over per-task write sets — the cheap O(total writes) subset of
-    the full analysis, suitable for every dispatch.
+    The cheap O(total writes) subset of the full analysis, for callers
+    that build their own task lists.
     """
     from repro.errors import SchedulerError
 

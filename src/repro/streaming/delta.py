@@ -12,33 +12,24 @@ properties:
   last-write-wins semantics (inserts *accumulate*, updates and deletes
   *override*), sorted in row-major coordinate order.  Two batches that
   canonicalize identically have identical effect on every tensor.
-* **application** (:meth:`DeltaBatch.apply` / :func:`apply_delta`):
-  vectorized replay onto a :class:`~repro.tensors.coo.COOTensor` (and,
-  through the COO interchange format, CSF and HiCOO), producing a
-  canonical (sorted, duplicate-free) result.
-
-:class:`MutationLog` is the bounded per-tensor history a serving shard
-keeps for the streams it owns (see :mod:`repro.serve`): appended batches
-get monotonic sequence numbers, and old entries are compacted away once
-the bound is reached.
+* **application** (:meth:`DeltaBatch.apply`): vectorized replay onto a
+  :class:`~repro.tensors.coo.COOTensor`, producing a canonical (sorted,
+  duplicate-free) result.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, FormatError, ShapeError, StreamError
+from repro.errors import ConfigError, FormatError, ShapeError
 from repro.tensors.coo import COOTensor
-from repro.tensors.csf import CSFTensor
-from repro.tensors.hicoo import HiCOOTensor
 from repro.tensors.linearize import ModeLinearizer
 from repro.util.arrays import as_index_array, as_value_array
 from repro.util.groups import group_boundaries
 
-__all__ = ["DELETE", "INSERT", "UPDATE", "DeltaBatch", "MutationLog", "apply_delta"]
+__all__ = ["DELETE", "INSERT", "UPDATE", "DeltaBatch"]
 
 #: Operation kinds, stored as one int8 per op.
 INSERT = 0  # value += v (absent coordinates start at 0; creates the entry)
@@ -307,96 +298,3 @@ class DeltaBatch:
         coords = np.concatenate([base.coords, delta.coords[:, alive]], axis=1)
         values = np.concatenate([base.values, delta.values[alive]])
         return COOTensor(coords, values, self.shape, check=False).sum_duplicates()
-
-    def touched_linear(self) -> np.ndarray:
-        """Sorted unique row-major indices of every touched coordinate.
-
-        Deliberately an over-approximation: deletes of absent
-        coordinates still count as touched — invalidation must be sound,
-        not minimal.
-        """
-        return np.unique(self.linearized())
-
-
-def apply_delta(tensor, delta: DeltaBatch):
-    """Apply a delta to a COO, CSF, or HiCOO tensor, preserving format.
-
-    CSF and HiCOO round-trip through the COO interchange format (the
-    same path every kernel input takes); HiCOO keeps its block size,
-    CSF its mode order.
-    """
-    if isinstance(tensor, COOTensor):
-        return delta.apply(tensor)
-    if isinstance(tensor, CSFTensor):
-        out = delta.apply(tensor.to_coo())
-        return CSFTensor.from_coo(out, mode_order=tensor.mode_order)
-    if isinstance(tensor, HiCOOTensor):
-        out = delta.apply(tensor.to_coo())
-        return HiCOOTensor.from_coo(out, block_bits=tensor.block_bits)
-    raise StreamError(
-        f"cannot apply a delta to {type(tensor).__name__}; expected "
-        "COOTensor, CSFTensor, or HiCOOTensor"
-    )
-
-
-class _LogEntry:
-    __slots__ = ("seq", "delta")
-
-    def __init__(self, seq: int, delta: DeltaBatch):
-        self.seq = seq
-        self.delta = delta
-
-
-class MutationLog:
-    """Bounded, thread-safe history of canonical deltas for one tensor.
-
-    The owning shard appends every accepted batch; replicas (or a shard
-    re-adopting a stream after a ring rebalance) replay ``since(seq)``.
-    When the bound is exceeded the oldest entries are dropped and
-    ``compacted`` counts them — a replay older than the log's horizon
-    must fall back to full state transfer.
-    """
-
-    def __init__(self, maxlen: int = 256):
-        if maxlen < 1:
-            raise ConfigError(f"maxlen must be >= 1, got {maxlen}")
-        self.maxlen = int(maxlen)
-        self._entries: list[_LogEntry] = []
-        self._next_seq = 0
-        self.compacted = 0
-        self._lock = threading.Lock()
-
-    def append(self, delta: DeltaBatch) -> int:
-        """Record one canonical batch; returns its sequence number."""
-        entry = _LogEntry(0, delta.canonicalize())
-        with self._lock:
-            entry.seq = self._next_seq
-            self._next_seq += 1
-            self._entries.append(entry)
-            while len(self._entries) > self.maxlen:
-                self._entries.pop(0)
-                self.compacted += 1
-            return entry.seq
-
-    def since(self, seq: int) -> list[tuple[int, DeltaBatch]]:
-        """Entries with sequence number >= ``seq``, oldest first.
-
-        Raises :class:`StreamError` when ``seq`` predates the log
-        horizon (those entries were compacted away).
-        """
-        with self._lock:
-            if self._entries and seq < self._entries[0].seq and seq < self._next_seq:
-                raise StreamError(
-                    f"sequence {seq} predates the log horizon "
-                    f"{self._entries[0].seq} ({self.compacted} compacted)"
-                )
-            return [(e.seq, e.delta) for e in self._entries if e.seq >= seq]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def next_seq(self) -> int:
-        with self._lock:
-            return self._next_seq

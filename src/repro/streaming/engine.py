@@ -28,8 +28,12 @@ Past a staleness threshold the incremental path stops paying: the
 work it saves is priced through the paper's Section 5.1 density model
 (multiply-accumulate volume per tile plus the modeled patched-row
 count), and once the modeled incremental fraction exceeds the
-threshold the engine falls back to a full recompute — which refreshes
-every cached artifact at once.
+threshold the engine falls back to a full recompute.
+
+A delta computes everything it changes into locals first and commits
+them to the :class:`StreamState` in one final step, so a delta that
+raises (say, :class:`~repro.errors.WorkspaceLimitError` from the
+kernel) leaves the stream exactly as it was before the call.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ from repro.core.tiled_co import TiledTables, build_tiled_tables, tiled_co_contra
 from repro.errors import ConfigError, StreamError
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.runtime.signature import signature_for
-from repro.streaming.delta import DeltaBatch, MutationLog
-from repro.streaming.version import DependencyTracker
+from repro.streaming.delta import DeltaBatch
 from repro.tensors.coo import COOTensor
 
 __all__ = [
@@ -65,20 +68,23 @@ __all__ = [
 #: recompute instead of tile patching (see Section 5.1 pricing below).
 DEFAULT_STALENESS_THRESHOLD = 0.35
 
+#: A stream's canonical output rows ``(l_idx, r_idx, values, output)``,
+#: sorted by ``l * R + r`` with ``output``'s columns index-aligned.
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, COOTensor]
 
-def check_stream_limits(staleness_threshold: float, log_maxlen: int) -> None:
-    """Raise :class:`ConfigError` for knobs no engine can run with.
+
+def check_stream_limits(staleness_threshold: float) -> None:
+    """Raise :class:`ConfigError` for a threshold no engine can run with.
 
     Shared by :class:`IncrementalEngine` and
-    :class:`repro.serve.ServiceConfig` (its ``stream_*`` fields), so a
-    service refuses at construction what its engine would refuse later.
+    :class:`repro.serve.ServiceConfig` (its ``stream_staleness_threshold``),
+    so a service refuses at construction what its engine would refuse
+    later.
     """
     if not 0.0 < staleness_threshold <= 1.0:
         raise ConfigError(
             f"staleness_threshold must be in (0, 1], got {staleness_threshold}"
         )
-    if log_maxlen < 1:
-        raise ConfigError(f"log_maxlen must be >= 1, got {log_maxlen}")
 
 
 @dataclass
@@ -88,7 +94,7 @@ class StreamStats:
     name: str
     side: str
     mode: str  # "incremental" | "full" | "noop"
-    seq: int  # mutation-log sequence number of the applied batch
+    seq: int  # per-side sequence number of the applied batch
     tiles_touched: int
     tiles_total: int
     modeled_fraction: float
@@ -102,7 +108,7 @@ class StreamState:
     __slots__ = (
         "name", "spec", "plan", "backend", "left", "right",
         "left_op", "right_op", "hl", "hr",
-        "l_idx", "r_idx", "values", "output", "logs", "artifact_ids",
+        "l_idx", "r_idx", "values", "output", "seq",
     )
 
     def __init__(self, name: str, spec: ContractionSpec, plan: Plan,
@@ -123,8 +129,8 @@ class StreamState:
         self.r_idx = np.empty(0, dtype=np.int64)
         self.values = np.empty(0)
         self.output: COOTensor | None = None
-        self.logs = {"left": MutationLog(), "right": MutationLog()}
-        self.artifact_ids: list[str] = []
+        # Deltas committed per side; the next one gets this number.
+        self.seq = {"left": 0, "right": 0}
 
 
 class IncrementalEngine:
@@ -147,14 +153,9 @@ class IncrementalEngine:
     runtime:
         Optional :class:`~repro.runtime.executor.ContractionRuntime` to
         integrate with: plans are shared through its
-        :class:`~repro.runtime.plan_cache.PlanCache`, and every applied
+        :class:`~repro.runtime.plan_cache.PlanCache`, and every committed
         delta invalidates the runtime's cached linearizations/tables
         for the replaced tensor object.
-    tracker:
-        Dependency tracker to record artifacts in; a private one is
-        created when omitted.
-    log_maxlen:
-        Bound on each stream side's :class:`MutationLog`.
     """
 
     def __init__(
@@ -165,21 +166,21 @@ class IncrementalEngine:
         n_workers: int = 1,
         backend: "str | KernelBackend | None" = None,
         runtime=None,
-        tracker: DependencyTracker | None = None,
-        log_maxlen: int = 256,
     ):
-        check_stream_limits(staleness_threshold, log_maxlen)
+        check_stream_limits(staleness_threshold)
         self.machine = machine
         self.staleness_threshold = float(staleness_threshold)
         self.n_workers = int(n_workers)
         self.backend = backend
         self.runtime = runtime
-        self.tracker = tracker if tracker is not None else DependencyTracker()
-        self.log_maxlen = int(log_maxlen)
         self.counters = Counters()
-        self.records: list[StreamStats] = []
         self._states: dict[str, StreamState] = {}
         self._lock = threading.RLock()
+        # Running totals behind metrics(), keyed by StreamStats.mode;
+        # per-call stats are apply_delta's return value.
+        self._deltas = {"incremental": 0, "full": 0, "noop": 0}
+        self._seconds = {"incremental": 0.0, "full": 0.0, "noop": 0.0}
+        self._fraction_sum = 0.0
 
     # ------------------------------------------------------------------
     # Registration
@@ -224,10 +225,6 @@ class IncrementalEngine:
         ) if not isinstance(self.backend, KernelBackend) else self.backend
 
         state = StreamState(str(name), spec, plan, backend)
-        state.logs = {
-            "left": MutationLog(self.log_maxlen),
-            "right": MutationLog(self.log_maxlen),
-        }
         state.left = left
         state.right = right
         state.left_op = spec.linearize_left(left).sum_duplicates()
@@ -240,33 +237,18 @@ class IncrementalEngine:
             state.right_op, plan.tile_r, n_workers=self.n_workers,
             counters=self.counters,
         )
-        l_idx, r_idx, values = self._contract_rows(
-            state, state.left_op, state.right_op, state.hl, state.hr
+        (state.l_idx, state.r_idx, state.values,
+         state.output) = self._canonical_rows(
+            state, *self._contract_rows(
+                state, state.left_op, state.right_op, state.hl, state.hr
+            )
         )
-        self._store_rows(state, l_idx, r_idx, values)
 
         with self._lock:
             if str(name) in self._states:
                 raise StreamError(f"stream {name!r} is already registered")
-            ln, rn = self._tensor_keys(str(name))
-            state.artifact_ids = [
-                f"{name}:lin:left", f"{name}:lin:right",
-                f"{name}:tables:left", f"{name}:tables:right",
-                f"{name}:out",
-            ]
-            self.tracker.register(f"{name}:lin:left", "linearized", {ln: None})
-            self.tracker.register(f"{name}:lin:right", "linearized", {rn: None})
-            self.tracker.register(f"{name}:tables:left", "tiled_table", {ln: None})
-            self.tracker.register(f"{name}:tables:right", "tiled_table", {rn: None})
-            self.tracker.register(f"{name}:out", "output", {ln: None, rn: None})
             self._states[str(name)] = state
-        assert state.output is not None
         return state.output
-
-    @staticmethod
-    def _tensor_keys(name: str) -> tuple[str, str]:
-        """Tracker tensor names for a stream's two operands."""
-        return f"{name}.left", f"{name}.right"
 
     def streams(self) -> list[str]:
         with self._lock:
@@ -302,36 +284,35 @@ class IncrementalEngine:
         )
         return l_idx, r_idx, values
 
-    def _store_rows(
+    def _canonical_rows(
         self, state: StreamState,
         l_idx: np.ndarray, r_idx: np.ndarray, values: np.ndarray,
-    ) -> None:
-        """Canonicalize rows into row-major output order and refresh the output.
+    ) -> Rows:
+        """Canonicalize rows into row-major output order.
 
         Sorting by the combined index ``l * R + r`` erases the
         thread/merge order of the producing tasks, which is what makes
-        patched and from-scratch outputs comparable bit-for-bit.  Rows
-        and ``state.output`` columns stay index-aligned (patching relies
-        on it).
+        patched and from-scratch outputs comparable bit-for-bit.  The
+        returned rows and output columns stay index-aligned (patching
+        relies on it).
         """
-        keys, state.output = state.spec.canonical_output(l_idx, r_idx, values)
+        keys, output = state.spec.canonical_output(l_idx, r_idx, values)
         R = np.int64(state.spec.R)
-        state.l_idx = keys // R
-        state.r_idx = keys - state.l_idx * R
-        state.values = state.output.values
+        l_out = keys // R
+        return l_out, keys - l_out * R, output.values, output
 
     def _merge_rows(
         self, state: StreamState, keep: np.ndarray,
         l_new: np.ndarray, r_new: np.ndarray, v_new: np.ndarray,
-    ) -> None:
-        """Replace the rows outside ``keep`` with freshly contracted ones.
+    ) -> Rows:
+        """The stored rows inside ``keep`` plus freshly contracted ones.
 
         The kept rows are already in canonical order, so the canonical
         sort of kept-then-new rows is a merge of two sorted runs; a new
         row colliding with a kept one (no disjoint tile patch makes one)
         is summed rather than lost.
         """
-        self._store_rows(
+        return self._canonical_rows(
             state,
             np.concatenate([state.l_idx[keep], l_new]),
             np.concatenate([state.r_idx[keep], r_new]),
@@ -341,7 +322,7 @@ class IncrementalEngine:
     def _splice_segments(
         self, state: StreamState, touched: np.ndarray, tile: int,
         l_new: np.ndarray, r_new: np.ndarray, v_new: np.ndarray,
-    ) -> None:
+    ) -> Rows:
         """Left-side patch via contiguous-slice replacement.
 
         The store is sorted by ``l * R + r`` with ``l`` as the primary
@@ -367,8 +348,7 @@ class IncrementalEngine:
             # tiled kernel produces either, but fall back to the
             # generic full re-sort rather than corrupt the store.
             keep = ~np.isin(state.l_idx // np.int64(tile), tiles)
-            self._merge_rows(state, keep, l_new, r_new, v_new)
-            return
+            return self._merge_rows(state, keep, l_new, r_new, v_new)
         assert state.output is not None
         new_coords = state.spec.lin_out.decode(new_combined)
         pieces_l: list[np.ndarray] = []
@@ -394,13 +374,12 @@ class IncrementalEngine:
         pieces_r.append(state.r_idx[cursor:])
         pieces_v.append(state.values[cursor:])
         pieces_c.append(state.output.coords[:, cursor:])
-        state.l_idx = np.concatenate(pieces_l)
-        state.r_idx = np.concatenate(pieces_r)
-        state.values = np.concatenate(pieces_v)
-        state.output = COOTensor(
-            np.concatenate(pieces_c, axis=1), state.values,
+        values = np.concatenate(pieces_v)
+        output = COOTensor(
+            np.concatenate(pieces_c, axis=1), values,
             state.output.shape, check=False,
         )
+        return np.concatenate(pieces_l), np.concatenate(pieces_r), values, output
 
     # ------------------------------------------------------------------
     # Delta application
@@ -419,7 +398,11 @@ class IncrementalEngine:
         ``side`` selects which operand mutates.  ``force`` overrides the
         staleness decision (``"incremental"`` or ``"full"``; benchmarks
         use it to measure both paths on the same delta).  Returns the
-        per-call :class:`StreamStats` (also appended to ``records``).
+        per-call :class:`StreamStats`.
+
+        The new operand, tables and output rows are computed into
+        locals and committed to the stream in one final step, so a
+        delta that raises leaves the stream's previous state intact.
         """
         if side not in ("left", "right"):
             raise ConfigError(f"side must be left|right, got {side!r}")
@@ -430,7 +413,6 @@ class IncrementalEngine:
         state = self._state(name)
         t0 = time.perf_counter()
         delta = delta.canonicalize()
-        seq = state.logs[side].append(delta)
 
         spec = state.spec
         plan = state.plan
@@ -444,90 +426,88 @@ class IncrementalEngine:
             own_ext, partner_ext = spec.R, spec.L
         assert old_tensor is not None and partner_op is not None
 
-        if delta.n_ops == 0:
+        mode, n_touched, fraction = "noop", 0, 0.0
+        if delta.n_ops:
+            # Touched tiles: the delta's coordinates mapped through the
+            # spec's external linearizer onto this side's tile grid.
+            if side == "left":
+                ext = spec.lin_l.encode(delta.coords[list(spec.left_external), :])
+            else:
+                ext = spec.lin_r.encode(delta.coords[list(spec.right_external), :])
+            touched = np.unique(ext // np.int64(tile))
+            n_touched = int(touched.shape[0])
+
+            new_tensor = delta.apply(old_tensor)
+            new_op = (
+                spec.linearize_left(new_tensor) if side == "left"
+                else spec.linearize_right(new_tensor)
+            ).sum_duplicates()
+
+            # -- Section 5.1 pricing of the incremental path ------------
+            # Work is modeled as multiply-accumulate volume: the kernel's
+            # per-tile-pair cost bound is nnz(HL_i) * nnz(HR_j), so the
+            # affected fraction is (nnz in touched tiles) / (total nnz)
+            # of the mutated side (the partner's volume cancels), plus
+            # the modeled cost of re-draining the patched output rows —
+            # the plan's estimated output density (Eq. 5.1) times the
+            # patched index space — against the full output's modeled
+            # row count.
+            tile_of = new_op.ext // np.int64(tile)
+            per_tile = np.bincount(tile_of, minlength=num_tiles)
+            affected_nnz = int(per_tile[touched].sum())
+            mults_full = float(new_op.nnz) * float(partner_op.nnz)
+            mults_inc = float(affected_nnz) * float(partner_op.nnz)
+            rows_full = plan.est_output_density * float(own_ext) * float(partner_ext)
+            rows_inc = plan.est_output_density * float(
+                min(n_touched * tile, own_ext)
+            ) * float(partner_ext)
+            denom = mults_full + rows_full
+            fraction = (mults_inc + rows_inc) / denom if denom > 0 else 1.0
+
+            mode = "incremental" if fraction <= self.staleness_threshold else "full"
+            if force is not None:
+                mode = force
+            if mode == "incremental":
+                tables, rows = self._patch(state, side, new_op, touched, tile)
+            else:
+                tables, rows = self._rebuild(state, side, new_op, tile)
+
+        # -- Commit: nothing above wrote to the stream's state ----------
+        if mode != "noop" and self.runtime is not None:
+            self.runtime.invalidate_operand(old_tensor)
+        with self._lock:
+            if mode != "noop":
+                if side == "left":
+                    state.left, state.left_op, state.hl = new_tensor, new_op, tables
+                else:
+                    state.right, state.right_op, state.hr = new_tensor, new_op, tables
+                state.l_idx, state.r_idx, state.values, state.output = rows
+            if mode == "incremental":
+                self.counters.stream_incremental += 1
+            elif mode == "full":
+                self.counters.stream_full += 1
             stats = StreamStats(
-                name=state.name, side=side, mode="noop", seq=seq,
-                tiles_touched=0, tiles_total=num_tiles,
-                modeled_fraction=0.0,
+                name=state.name, side=side, mode=mode, seq=state.seq[side],
+                tiles_touched=n_touched, tiles_total=num_tiles,
+                modeled_fraction=float(fraction),
                 seconds=time.perf_counter() - t0,
                 output_nnz=state.output.nnz if state.output is not None else 0,
             )
-            self.records.append(stats)
-            return stats
-
-        # Touched tiles: the delta's coordinates mapped through the
-        # spec's external linearizer onto this side's tile grid.
-        if side == "left":
-            ext = spec.lin_l.encode(delta.coords[list(spec.left_external), :])
-        else:
-            ext = spec.lin_r.encode(delta.coords[list(spec.right_external), :])
-        touched = np.unique(ext // np.int64(tile))
-
-        new_tensor = delta.apply(old_tensor)
-        new_op = (
-            spec.linearize_left(new_tensor) if side == "left"
-            else spec.linearize_right(new_tensor)
-        ).sum_duplicates()
-
-        # -- Section 5.1 pricing of the incremental path ----------------
-        # Work is modeled as multiply-accumulate volume: the kernel's
-        # per-tile-pair cost bound is nnz(HL_i) * nnz(HR_j), so the
-        # affected fraction is (nnz in touched tiles) / (total nnz) of
-        # the mutated side (the partner's volume cancels), plus the
-        # modeled cost of re-draining the patched output rows — the
-        # plan's estimated output density (Eq. 5.1) times the patched
-        # index space — against the full output's modeled row count.
-        tile_of = new_op.ext // np.int64(tile)
-        per_tile = np.bincount(tile_of, minlength=num_tiles)
-        affected_nnz = int(per_tile[touched].sum())
-        mults_full = float(new_op.nnz) * float(partner_op.nnz)
-        mults_inc = float(affected_nnz) * float(partner_op.nnz)
-        rows_full = plan.est_output_density * float(own_ext) * float(partner_ext)
-        rows_inc = plan.est_output_density * float(
-            min(touched.shape[0] * tile, own_ext)
-        ) * float(partner_ext)
-        denom = mults_full + rows_full
-        fraction = (mults_inc + rows_inc) / denom if denom > 0 else 1.0
-
-        mode = "incremental" if fraction <= self.staleness_threshold else "full"
-        if force is not None:
-            mode = force
-
-        # Bump versions and fan invalidation out before recomputing.
-        tensor_key = self._tensor_keys(state.name)[0 if side == "left" else 1]
-        self.tracker.bump(tensor_key, tiles=touched.tolist())
-        if self.runtime is not None:
-            self.runtime.invalidate_operand(old_tensor)
-
-        if mode == "incremental":
-            self._patch(state, side, new_tensor, new_op, touched, tile)
-            self.counters.stream_incremental += 1
-        else:
-            self._rebuild(state, side, new_tensor, new_op, tile)
-            self.counters.stream_full += 1
-        for artifact_id in state.artifact_ids:
-            self.tracker.refresh(artifact_id)
-
-        stats = StreamStats(
-            name=state.name, side=side, mode=mode, seq=seq,
-            tiles_touched=int(touched.shape[0]), tiles_total=num_tiles,
-            modeled_fraction=float(fraction),
-            seconds=time.perf_counter() - t0,
-            output_nnz=state.output.nnz if state.output is not None else 0,
-        )
-        self.records.append(stats)
+            state.seq[side] += 1
+            self._deltas[mode] += 1
+            self._seconds[mode] += stats.seconds
+            self._fraction_sum += stats.modeled_fraction
         return stats
 
     def _patch(
         self,
         state: StreamState,
         side: str,
-        new_tensor: COOTensor,
         new_op: LinearizedOperand,
         touched: np.ndarray,
         tile: int,
-    ) -> None:
-        """Re-contract only the touched tiles and patch the stored rows."""
+    ) -> tuple[TiledTables, Rows]:
+        """Re-contract only the touched tiles; returns patched tables and rows."""
         mask = np.isin(new_op.ext // np.int64(tile), touched)
         restricted = LinearizedOperand(
             ext=new_op.ext[mask], con=new_op.con[mask],
@@ -537,98 +517,72 @@ class IncrementalEngine:
         h_restricted = build_tiled_tables(
             restricted, tile, n_workers=self.n_workers, counters=self.counters
         )
+        assert state.left_op is not None and state.right_op is not None
+        assert state.hl is not None and state.hr is not None
         if side == "left":
-            assert state.hl is not None and state.right_op is not None
             l_new, r_new, v_new = self._contract_rows(
                 state, restricted, state.right_op, h_restricted, state.hr
             )
-            tables = list(state.hl.tables)
-            for t in touched.tolist():
-                tables[t] = h_restricted.tables[t]
-            state.hl = TiledTables(tile, state.hl.num_tiles, tables, new_op.nnz)
-            state.left, state.left_op = new_tensor, new_op
-            self._splice_segments(state, touched, tile, l_new, r_new, v_new)
-            return
+            rows = self._splice_segments(state, touched, tile, l_new, r_new, v_new)
+            old = state.hl
         else:
-            assert state.hr is not None and state.left_op is not None
             l_new, r_new, v_new = self._contract_rows(
                 state, state.left_op, restricted, state.hl, h_restricted
             )
             keep = ~np.isin(state.r_idx // np.int64(tile), touched)
-            tables = list(state.hr.tables)
-            for t in touched.tolist():
-                tables[t] = h_restricted.tables[t]
-            state.hr = TiledTables(tile, state.hr.num_tiles, tables, new_op.nnz)
-            state.right, state.right_op = new_tensor, new_op
-        self._merge_rows(state, keep, l_new, r_new, v_new)
+            rows = self._merge_rows(state, keep, l_new, r_new, v_new)
+            old = state.hr
+        tables = list(old.tables)
+        for t in touched.tolist():
+            tables[t] = h_restricted.tables[t]
+        return TiledTables(tile, old.num_tiles, tables, new_op.nnz), rows
 
     def _rebuild(
         self,
         state: StreamState,
         side: str,
-        new_tensor: COOTensor,
         new_op: LinearizedOperand,
         tile: int,
-    ) -> None:
+    ) -> tuple[TiledTables, Rows]:
         """Full recompute: fresh tables for the mutated side, full kernel."""
         h_new = build_tiled_tables(
             new_op, tile, n_workers=self.n_workers, counters=self.counters
         )
-        if side == "left":
-            state.left, state.left_op, state.hl = new_tensor, new_op, h_new
-        else:
-            state.right, state.right_op, state.hr = new_tensor, new_op, h_new
         assert state.left_op is not None and state.right_op is not None
-        l_idx, r_idx, values = self._contract_rows(
-            state, state.left_op, state.right_op, state.hl, state.hr
-        )
-        self._store_rows(state, l_idx, r_idx, values)
+        assert state.hl is not None and state.hr is not None
+        if side == "left":
+            raw = self._contract_rows(state, new_op, state.right_op, h_new, state.hr)
+        else:
+            raw = self._contract_rows(state, state.left_op, new_op, state.hl, h_new)
+        return h_new, self._canonical_rows(state, *raw)
 
     # ------------------------------------------------------------------
     # Results and maintenance
     # ------------------------------------------------------------------
 
     def result(self, name: str) -> COOTensor:
-        """The stream's current canonical output (freshness-guarded)."""
+        """The stream's current canonical output."""
         state = self._state(name)
-        self.tracker.assert_fresh(f"{state.name}:out")
         assert state.output is not None
         return state.output
 
-    def log(self, name: str, side: str = "left") -> MutationLog:
-        state = self._state(name)
-        if side not in state.logs:
-            raise ConfigError(f"side must be left|right, got {side!r}")
-        return state.logs[side]
-
     def invalidate(self, name: str) -> int:
-        """Drop a stream's cached state; returns artifacts released."""
+        """Drop a stream's cached state; returns streams dropped (1 or 0)."""
         with self._lock:
-            state = self._states.pop(str(name), None)
-        if state is None:
-            return 0
-        released = 0
-        for artifact_id in state.artifact_ids:
-            released += self.tracker.unregister(artifact_id)
-        return released
+            return int(self._states.pop(str(name), None) is not None)
 
     def metrics(self) -> dict:
         """JSON-friendly aggregate metrics."""
-        records = list(self.records)
-        inc = [r for r in records if r.mode == "incremental"]
-        full = [r for r in records if r.mode == "full"]
         with self._lock:
-            streams = sorted(self._states)
-        return {
-            "streams": streams,
-            "deltas_applied": len(records),
-            "incremental": len(inc),
-            "full": len(full),
-            "incremental_seconds": sum(r.seconds for r in inc),
-            "full_seconds": sum(r.seconds for r in full),
-            "mean_modeled_fraction": (
-                sum(r.modeled_fraction for r in records) / len(records)
-                if records else 0.0
-            ),
-            "tracker": self.tracker.stats(),
-        }
+            applied = sum(self._deltas.values())
+            return {
+                "streams": sorted(self._states),
+                "deltas_applied": applied,
+                "incremental": self._deltas["incremental"],
+                "full": self._deltas["full"],
+                "incremental_seconds": self._seconds["incremental"],
+                "full_seconds": self._seconds["full"],
+                "mean_modeled_fraction": (
+                    self._fraction_sum / applied if applied else 0.0
+                ),
+            }

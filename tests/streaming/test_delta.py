@@ -1,21 +1,17 @@
-"""DeltaBatch: canonicalization semantics and format-preserving apply."""
+"""DeltaBatch: canonicalization semantics and COO apply."""
 
 import numpy as np
 import pytest
 
 from repro.data.random_tensors import random_coo
-from repro.errors import ConfigError, FormatError, ShapeError, StreamError
+from repro.errors import ConfigError, FormatError, ShapeError
 from repro.streaming import (
     DELETE,
     INSERT,
     UPDATE,
     DeltaBatch,
-    MutationLog,
-    apply_delta,
 )
 from repro.tensors.coo import COOTensor
-from repro.tensors.csf import CSFTensor
-from repro.tensors.hicoo import HiCOOTensor
 
 SHAPE = (8, 6)
 
@@ -170,58 +166,3 @@ class TestApply:
         batch = DeltaBatch.from_ops([("insert", (0, 0), 1.0)], SHAPE)
         with pytest.raises(ShapeError):
             batch.apply(tensor)
-
-    def test_apply_delta_preserves_csf_and_hicoo(self):
-        coo = random_coo((8, 6, 4), nnz=20, seed=2)
-        batch = DeltaBatch.from_ops(
-            [("insert", (7, 5, 3), 2.0), ("delete", tuple(coo.coords[:, 0]), 0.0)],
-            (8, 6, 4),
-        )
-        expected = batch.apply(coo)
-
-        csf = CSFTensor.from_coo(coo, mode_order=(2, 0, 1))
-        out_csf = apply_delta(csf, batch)
-        assert isinstance(out_csf, CSFTensor)
-        assert out_csf.mode_order == (2, 0, 1)
-        np.testing.assert_allclose(out_csf.to_coo().to_dense(), expected.to_dense())
-
-        hicoo = HiCOOTensor.from_coo(coo, block_bits=2)
-        out_hicoo = apply_delta(hicoo, batch)
-        assert isinstance(out_hicoo, HiCOOTensor)
-        assert out_hicoo.block_bits == 2
-        np.testing.assert_allclose(out_hicoo.to_coo().to_dense(), expected.to_dense())
-
-    def test_apply_delta_rejects_foreign_type(self):
-        batch = DeltaBatch.empty(SHAPE)
-        with pytest.raises(StreamError):
-            apply_delta(np.zeros(SHAPE), batch)
-
-    def test_touched_linear_overapproximates(self):
-        batch = DeltaBatch.from_ops(
-            [("delete", (7, 5), 0.0), ("insert", (0, 0), 1.0)], SHAPE
-        )
-        touched = batch.touched_linear()
-        assert touched.tolist() == sorted(touched.tolist())
-        assert 7 * 6 + 5 in touched.tolist()  # absent delete still counts
-
-
-class TestMutationLog:
-    def test_sequences_are_monotonic(self):
-        log = MutationLog(maxlen=4)
-        seqs = [log.append(DeltaBatch.empty(SHAPE)) for _ in range(3)]
-        assert seqs == [0, 1, 2]
-        assert log.next_seq == 3
-
-    def test_compaction_and_horizon(self):
-        log = MutationLog(maxlen=2)
-        for _ in range(5):
-            log.append(DeltaBatch.empty(SHAPE))
-        assert len(log) == 2
-        assert log.compacted == 3
-        assert [seq for seq, _ in log.since(3)] == [3, 4]
-        with pytest.raises(StreamError):
-            log.since(0)
-
-    def test_bad_maxlen_rejected(self):
-        with pytest.raises(ConfigError):
-            MutationLog(maxlen=0)

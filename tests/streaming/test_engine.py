@@ -1,11 +1,11 @@
-"""IncrementalEngine: patching, pricing, fallback, and invalidation."""
+"""IncrementalEngine: patching, pricing, fallback, invalidation, atomicity."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.data.random_tensors import random_coo
-from repro.errors import ConfigError, StaleReadError, StreamError
+from repro.errors import ConfigError, StreamError, WorkspaceLimitError
 from repro.machine.specs import DESKTOP
 from repro.runtime.executor import ContractionRuntime
 from repro.streaming import DeltaBatch, IncrementalEngine
@@ -57,21 +57,11 @@ class TestRegister:
         with pytest.raises(StreamError):
             engine.result("ghost")
 
-    def test_artifacts_registered_per_stream(self):
-        engine = make_engine()
-        register(engine)
-        kinds = sorted(a.kind for a in engine.tracker.artifacts())
-        assert kinds == [
-            "linearized", "linearized", "output", "tiled_table", "tiled_table",
-        ]
-
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             make_engine(staleness_threshold=0.0)
         with pytest.raises(ConfigError):
             make_engine(staleness_threshold=1.5)
-        with pytest.raises(ConfigError):
-            make_engine(log_maxlen=0)
 
 
 class TestApplyDelta:
@@ -168,35 +158,24 @@ class TestApplyDelta:
         with pytest.raises(ConfigError):
             engine.apply_delta("s", one_tile_delta(left), force="maybe")
 
-    def test_mutation_log_records_sequence(self):
+    def test_seq_counts_per_side(self):
         engine = make_engine()
         left, _, _ = register(engine)
         s0 = engine.apply_delta("s", one_tile_delta(left, seed=0))
         s1 = engine.apply_delta("s", one_tile_delta(left, seed=1))
-        assert (s0.seq, s1.seq) == (0, 1)
-        assert engine.log("s", "left").next_seq == 2
-        assert engine.log("s", "right").next_seq == 0
+        r0 = engine.apply_delta(
+            "s", DeltaBatch.from_ops([("insert", (0, 0), 1.0)], RIGHT_SHAPE),
+            side="right",
+        )
+        assert (s0.seq, s1.seq, r0.seq) == (0, 1, 0)
+        assert engine._state("s").seq == {"left": 2, "right": 1}
 
 
 class TestInvalidation:
-    def test_stale_read_guard_between_bump_and_refresh(self):
-        engine = make_engine()
-        register(engine)
-        engine.tracker.bump("s.left")
-        with pytest.raises(StaleReadError):
-            engine.result("s")
-
-    def test_apply_delta_refreshes_artifacts(self):
-        engine = make_engine()
-        left, _, _ = register(engine)
-        engine.apply_delta("s", one_tile_delta(left))
-        assert engine.tracker.stale_ids() == []
-        engine.result("s")  # guarded read passes
-
     def test_invalidate_releases_artifacts(self):
         engine = make_engine()
         register(engine)
-        assert engine.invalidate("s") == 5
+        assert engine.invalidate("s") == 1  # one stream dropped
         assert engine.invalidate("s") == 0  # idempotent
         with pytest.raises(StreamError):
             engine.result("s")
@@ -224,5 +203,118 @@ class TestMetrics:
         assert m["streams"] == ["s"]
         assert m["deltas_applied"] == 1
         assert m["incremental"] + m["full"] == 1
-        assert m["tracker"]["artifacts"] == 5
         assert 0.0 <= m["mean_modeled_fraction"] <= 1.0
+
+    def test_totals_count_exactly_over_300_deltas(self):
+        # Running totals, not a per-delta history: 300 deltas leave
+        # exact counts and sums and no list growing with them.
+        engine = make_engine()
+        left, _, _ = register(engine)
+        rng = np.random.default_rng(7)
+        stats = [
+            engine.apply_delta("s", DeltaBatch.from_ops(
+                [("insert", (int(rng.integers(0, LEFT_SHAPE[0])),
+                             int(rng.integers(0, LEFT_SHAPE[1]))), 1.0)],
+                LEFT_SHAPE,
+            ))
+            for _ in range(300)
+        ]
+        assert not hasattr(engine, "records")
+        m = engine.metrics()
+        inc = [st for st in stats if st.mode == "incremental"]
+        full = [st for st in stats if st.mode == "full"]
+        assert m["deltas_applied"] == 300
+        assert (m["incremental"], m["full"]) == (len(inc), len(full))
+        assert len(inc) + len(full) == 300
+        assert m["incremental_seconds"] == pytest.approx(
+            sum(st.seconds for st in inc))
+        assert m["full_seconds"] == pytest.approx(
+            sum(st.seconds for st in full))
+        assert m["mean_modeled_fraction"] == pytest.approx(
+            sum(st.modeled_fraction for st in stats) / 300)
+        assert engine._state("s").seq["left"] == 300
+
+
+def output_bytes(out):
+    return (out.shape, out.coords.dtype, out.coords.tobytes(),
+            out.values.dtype, out.values.tobytes())
+
+
+def fail(*args, **kwargs):
+    raise WorkspaceLimitError("injected fault")
+
+
+FAULT_TILE = 16  # 16 left tiles, 2 right tiles
+
+
+class TestFaultInjection:
+    """A delta that raises leaves the stream exactly as it was."""
+
+    def delta_for(self, side, col):
+        if side == "left":
+            return DeltaBatch.from_ops(
+                [("insert", (col, 3), 2.5), ("update", (col + 1, 0), -1.0)],
+                LEFT_SHAPE,
+            )
+        return DeltaBatch.from_ops(
+            [("insert", (2, col), 2.5), ("update", (5, col + 1), -1.0)],
+            RIGHT_SHAPE,
+        )
+
+    @pytest.mark.parametrize("side,force,target", [
+        ("left", "incremental", "tiled_co_contract"),   # restricted tables
+        ("right", "incremental", "tiled_co_contract"),  # restricted tables
+        ("left", "incremental", "_splice_segments"),    # left splice
+        ("right", "incremental", "_merge_rows"),        # right merge
+        ("left", "full", "tiled_co_contract"),          # _rebuild kernel
+        ("right", "full", "tiled_co_contract"),         # _rebuild kernel
+    ])
+    def test_raised_delta_leaves_state_then_next_delta_is_exact(
+        self, monkeypatch, side, force, target,
+    ):
+        engine = make_engine()
+        left, right, _ = register(engine, tile_size=FAULT_TILE)
+        state = engine._state("s")
+        kept = (state.left, state.right, state.hl, state.hr)
+        before = output_bytes(engine.result("s"))
+        delta = self.delta_for(side, 17)
+        with monkeypatch.context() as m:
+            if target == "tiled_co_contract":
+                m.setattr("repro.streaming.engine.tiled_co_contract", fail)
+            else:
+                m.setattr(engine, target, fail)
+            with pytest.raises(WorkspaceLimitError):
+                engine.apply_delta("s", delta, side=side, force=force)
+        assert all(a is b for a, b in zip(
+            (state.left, state.right, state.hl, state.hr), kept))
+        assert output_bytes(engine.result("s")) == before
+        assert state.seq == {"left": 0, "right": 0}
+        assert engine.metrics()["deltas_applied"] == 0
+
+        assert engine.apply_delta("s", delta, side=side, force=force).mode == force
+        if side == "left":
+            left = delta.apply(left)
+        else:
+            right = delta.apply(right)
+        ref = repro.contract(left, right, PAIRS, plan=state.plan)
+        assert output_bytes(engine.result("s")) == output_bytes(ref)
+
+    def test_failed_delta_then_other_tile_reads_consistently(self, monkeypatch):
+        # Delta A (tile 0) fails in the left splice; delta B (tile 2)
+        # then succeeds.  The stream must hold left + B and output
+        # contract(left + B), not an operand carrying A beside an output
+        # without it.
+        engine = make_engine()
+        left, right, _ = register(engine, tile_size=FAULT_TILE)
+        delta_a = self.delta_for("left", 1)
+        delta_b = self.delta_for("left", 2 * FAULT_TILE + 1)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_splice_segments", fail)
+            with pytest.raises(WorkspaceLimitError):
+                engine.apply_delta("s", delta_a, force="incremental")
+        engine.apply_delta("s", delta_b, force="incremental")
+        state = engine._state("s")
+        mutated = delta_b.apply(left)
+        assert output_bytes(state.left) == output_bytes(mutated)
+        ref = repro.contract(mutated, right, PAIRS, plan=state.plan)
+        assert output_bytes(engine.result("s")) == output_bytes(ref)

@@ -96,7 +96,7 @@ class TestServiceStream:
 
         iresp = service.submit(Request.stream("s", "invalidate")).result(30.0)
         assert iresp.status == "ok"
-        assert iresp.plan_source == "invalidated:5"
+        assert iresp.plan_source == "invalidated:1"
 
     def test_delta_output_matches_mutated_contract(self, service):
         left, right = operands(seed=9)
@@ -119,7 +119,7 @@ class TestServiceStream:
         service.submit(
             Request.stream("s", "register", left=left, right=right, pairs=PAIRS)
         ).result(30.0)
-        assert service.invalidate_stream("s") == 5
+        assert service.invalidate_stream("s") == 1
         assert service.invalidate_stream("s") == 0
 
     def test_metrics_include_streaming_section(self, service):
@@ -150,14 +150,12 @@ class TestServiceStream:
                 "incremental_seconds": 0.5,
                 "full_seconds": 0.25,
                 "mean_modeled_fraction": 0.1,
-                "tracker": {"tensors": 2, "artifacts": 5, "stale": 0,
-                            "bumps": 3, "invalidations": 1},
             }
         }
         merged = merge_metrics_json([payload, other])
         assert merged["streaming"]["streams"] == ["a", "b"]
         assert merged["streaming"]["deltas_applied"] == 3
-        assert merged["streaming"]["tracker"]["artifacts"] == 10
+        assert merged["streaming"]["incremental_seconds"] == 0.5
 
 
 class TestRouterStream:
@@ -181,9 +179,9 @@ class TestRouterStream:
 
             released = router.invalidate_stream("s")
             assert set(released) == {0, 1}
-            # Exactly the owner shard held the stream's five artifacts.
-            assert released[owner] == 5
-            assert sum(released.values()) == 5
+            # Exactly the owner shard held the stream.
+            assert released[owner] == 1
+            assert sum(released.values()) == 1
 
             # After the broadcast, a query finds no registered stream.
             gone = router.submit(Request.stream("s", "query")).result(60.0)
