@@ -1,14 +1,14 @@
-"""Optimizer pass pipeline: CSE / dead-skip / hoist vs the plain executor.
+"""Plan annotations: CSE / dead-skip / hoist vs the plain executor.
 
-The :mod:`repro.network.passes` pipeline rewrites network plans with
+:func:`repro.network.dataflow.annotate_plan` marks network plans with
 annotations the executor honors under runtime guards (content-digest
 checks, zero-premise re-validation), so results stay bit-identical to
-the unoptimized plan.  This harness measures what the annotations buy
+the unannotated plan.  This harness measures what the annotations buy
 on three workload shapes:
 
 * **shared-branch** — a QC-style two-term expression whose branches
   share a factor subnetwork (the same ``A·B`` chain appears under two
-  index labelings): the CSE pass annotates the duplicate steps and the
+  index labelings): the CSE annotation marks the duplicate steps and the
   executor computes the shared intermediates once;
 * **repeated-execution** — the same network contracted many times over
   stable operands (an inference-style loop): ``prepare()`` hoists the
@@ -18,7 +18,7 @@ on three workload shapes:
   :class:`~repro.network.executor.StepResultCache`, the serve-layer
   cross-request CSE path.
 
-Each row compares the no-pass baseline against the pass pipeline and
+Each row compares the no-pass baseline against the annotated plan and
 reports the measured speedup plus the relevant hit-rate counter.
 """
 
@@ -45,7 +45,7 @@ def shared_branch_fixture(n: int = 220, density: float = 0.02, seed: int = 5):
 
     ``ij,jk,kl`` and ``ab,bc,cd`` are the same ``A·B·C`` subnetwork
     under two labelings; the outer product of the two branch results
-    forms the output.  The CSE pass marks the second branch's steps as
+    forms the output.  The CSE annotation marks the second branch's steps as
     duplicates of the first; the runtime digest guard confirms the
     operands really match before reusing.
     """
@@ -58,7 +58,7 @@ def shared_branch_fixture(n: int = 220, density: float = 0.02, seed: int = 5):
 
 def dead_branch_fixture(n: int = 200, seed: int = 9):
     """A chain whose middle operand is empty: every downstream step is
-    statically zero and the dead pass lets the executor skip it."""
+    statically zero and the dead annotation lets the executor skip it."""
     a = random_coo((n, n), nnz=6 * n, seed=seed)
     empty = COOTensor.empty((n, n))
     c = random_coo((n, n), nnz=6 * n, seed=seed + 1)
@@ -85,7 +85,7 @@ def _best(fn, repeats: int) -> float:
 
 def bench_shared_branch(repeats: int):
     subs, ops = shared_branch_fixture()
-    base = NetworkExecutor(machine=DESKTOP, passes=None)
+    base = NetworkExecutor(machine=DESKTOP, passes=False)
     opt = NetworkExecutor(machine=DESKTOP)
     ref = base.contract(subs, *ops, optimizer="dp")
     out = opt.contract(subs, *ops, optimizer="dp")
@@ -97,7 +97,7 @@ def bench_shared_branch(repeats: int):
 
 def bench_dead_branch(repeats: int):
     subs, ops = dead_branch_fixture()
-    base = NetworkExecutor(machine=DESKTOP, passes=None)
+    base = NetworkExecutor(machine=DESKTOP, passes=False)
     opt = NetworkExecutor(machine=DESKTOP)
     ref = base.contract(subs, *ops)
     out = opt.contract(subs, *ops)
@@ -118,7 +118,7 @@ def bench_repeated(repeats: int, loop: int = 20):
     """
     subs, ops = repeated_fixture()
     distractor_subs, distractor_ops = repeated_fixture(n=80, seed=41)
-    base = NetworkExecutor(machine=DESKTOP, passes=None,
+    base = NetworkExecutor(machine=DESKTOP, passes=False,
                            operand_cache_size=2)
     opt = NetworkExecutor(machine=DESKTOP, operand_cache_size=2)
     ref = base.contract(subs, *ops)
@@ -145,7 +145,7 @@ def bench_repeated(repeats: int, loop: int = 20):
 
 def bench_micro_batch(repeats: int, batch: int = 6):
     subs, ops = repeated_fixture(seed=29)
-    base = NetworkExecutor(machine=DESKTOP, passes=None)
+    base = NetworkExecutor(machine=DESKTOP, passes=False)
     opt = NetworkExecutor(machine=DESKTOP)
     ref = base.contract(subs, *ops)
 
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
         os.environ["REPRO_BENCH_QUICK"] = "1"
 
     repeats = effective_repeats(5)
-    print("Optimizer pass pipeline vs plain executor (desktop model)")
+    print("Plan annotations vs plain executor (desktop model)")
     rows = []
     for name, fn in WORKLOADS:
         t_base, t_opt, note = fn(repeats)
@@ -215,7 +215,7 @@ def test_passes_bit_identical():
     for subs, ops in (shared_branch_fixture(n=60),
                       dead_branch_fixture(n=50),
                       repeated_fixture(n=60)):
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         opt = NetworkExecutor(machine=DESKTOP)
         ref = base.contract(subs, *ops, optimizer="dp")
         out = opt.contract(subs, *ops, optimizer="dp")

@@ -231,7 +231,8 @@ def _cmd_network(args) -> int:
     # run the plan through a fresh executor, --repeat times (repeats
     # after the first replay cached plans at both levels).
     executor = NetworkExecutor(
-        machine=machine, n_workers=args.workers, passes=args.passes,
+        machine=machine, n_workers=args.workers,
+        passes=args.passes == "default",
     )
     operands = [
         random_coo(meta.shape, nnz=meta.nnz, seed=args.seed + k)
@@ -299,16 +300,6 @@ def _cmd_check(args) -> int:
         # registry and docs/staticcheck.md must agree code-for-code.
         diags.extend(audit_code_registry())
         return _emit_diagnostics(args, diags)
-
-    if args.passes_check:
-        from repro.staticcheck import self_test_passes
-
-        diags, summary = self_test_passes()
-        if not args.json:
-            print(f"pass self-test: {summary['scenarios']} scenarios, "
-                  f"{summary['clean_pipelines']} clean pipeline runs, "
-                  f"{summary['corruptions_caught']} corruptions caught")
-        return _emit_diagnostics(args, diags, extra={"summary": summary})
 
     if args.expr is not None:
         from repro.machine.specs import DESKTOP, SERVER
@@ -678,9 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tile-size override to lint")
     check.add_argument("--self", dest="self_check", action="store_true",
                        help="AST-lint the repro source tree")
-    check.add_argument("--passes", dest="passes_check", action="store_true",
-                       help="self-test the network optimizer-pass "
-                            "pipeline and its verifier (FSTC5xx)")
     check.add_argument("--json", action="store_true",
                        help="machine-readable findings (code, severity, "
                             "location, message) instead of text")
@@ -711,8 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execute the network N times (repeats hit the "
                           "plan caches)")
     net.add_argument("--passes", default="default",
-                     help="optimizer pass pipeline: 'default', 'none', "
-                          "or a comma-separated pass list")
+                     choices=["default", "none"],
+                     help="plan annotations (CSE, dead steps, table "
+                          "hoisting): 'default' sets them, 'none' skips "
+                          "them")
     net.add_argument("--workers", type=int, default=1)
     _add_backend_flag(net)
 

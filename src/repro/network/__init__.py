@@ -1,6 +1,6 @@
 """Sparsity-aware tensor-network contraction planning and execution.
 
-The subsystem splits multi-operand einsum into four layers:
+The subsystem splits multi-operand einsum into five layers:
 
 * :mod:`repro.network.ir` — hypergraph IR (:class:`TensorNetwork`,
   :class:`OperandMeta`) parsed from subscripts plus shape/nnz metadata;
@@ -10,23 +10,12 @@ The subsystem splits multi-operand einsum into four layers:
   network-level :class:`NetworkSignature`;
 * :mod:`repro.network.executor` — plan-cached execution through the
   adaptive :class:`~repro.runtime.ContractionRuntime`;
-* :mod:`repro.network.dataflow` — SSA-style :class:`PlanGraph` plus the
-  forward/backward analysis framework (liveness, reachability,
-  available expressions, nnz intervals);
-* :mod:`repro.network.passes` — the verified optimizer pass pipeline
-  (CSE, dead-operand elimination, table hoisting) rewriting plans via
-  annotations only, every rewrite checked by the :class:`PassVerifier`.
+* :mod:`repro.network.dataflow` — SSA-style :class:`PlanGraph` and
+  :func:`annotate_plan`, which marks CSE candidates, dead steps and
+  hoistable table builds in one walk.
 """
 
-from repro.network.dataflow import (
-    AvailableExpressions,
-    LiveValues,
-    NnzIntervals,
-    PlanGraph,
-    ReachableOperands,
-    expression_key,
-    run_analysis,
-)
+from repro.network.dataflow import PlanGraph, annotate_plan, expression_key
 from repro.network.executor import (
     NetworkExecutor,
     NetworkReport,
@@ -36,14 +25,6 @@ from repro.network.executor import (
     default_executor,
     outer_product,
     sum_out_modes,
-)
-from repro.network.passes import (
-    DEFAULT_PASSES,
-    PASS_REGISTRY,
-    PassContext,
-    PassPipeline,
-    PassVerifier,
-    resolve_pipeline,
 )
 from repro.network.ir import (
     OperandMeta,
@@ -64,27 +45,19 @@ from repro.network.plan import NetworkPlan, NetworkSignature, PlanStep
 
 __all__ = [
     "AUTO_DP_LIMIT",
-    "AvailableExpressions",
-    "DEFAULT_PASSES",
     "DP_OPERAND_LIMIT",
-    "LiveValues",
     "NetworkExecutor",
     "NetworkPlan",
     "NetworkReport",
     "NetworkSignature",
-    "NnzIntervals",
     "OPTIMIZERS",
     "OperandMeta",
-    "PASS_REGISTRY",
-    "PassContext",
-    "PassPipeline",
-    "PassVerifier",
     "PlanGraph",
     "PlanStep",
     "PreparedNetwork",
-    "ReachableOperands",
     "StepResultCache",
     "TensorNetwork",
+    "annotate_plan",
     "build_plan",
     "contract_network",
     "default_executor",
@@ -93,9 +66,7 @@ __all__ = [
     "outer_product",
     "parse_subscripts",
     "plan_network",
-    "resolve_pipeline",
     "resolve_optimizer",
-    "run_analysis",
     "subscript_counts",
     "sum_out_modes",
 ]

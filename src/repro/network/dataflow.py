@@ -1,4 +1,4 @@
-"""Dataflow analysis over network plans (the optimizer-pass substrate).
+"""Plan annotations over an SSA view of a network plan.
 
 A :class:`~repro.network.plan.NetworkPlan` is a straight-line program:
 each step consumes two live operands and defines one intermediate, in
@@ -9,32 +9,15 @@ rebuilds the plan as an SSA-style :class:`PlanGraph`: every network
 input and every step result is a :class:`Value` with a stable id, and
 every step is an :class:`Op` referencing value ids.
 
-On top of the graph sits a small generic framework
-(:class:`Analysis` / :func:`run_analysis`): an analysis declares a
-direction and a transfer function and receives per-program-point facts.
-Plans are branch-free, so no fixpoint iteration is needed — a single
-forward or backward sweep is exact — but the framework keeps the
-classic shape so each concrete analysis stays ~20 lines.
-
-Concrete analyses (the facts the optimizer passes and the
-:class:`~repro.network.passes.PassVerifier` consume):
-
-* :class:`LiveValues` — backward liveness of value ids, the
-  use-after-free oracle for the executor's eager-free discipline;
-* :class:`ReachableOperands` — which original operand positions feed
-  each value (forward);
-* :class:`AvailableExpressions` — structural, rename-invariant
-  expression keys to their first defining step (forward; the CSE
-  oracle);
-* :class:`NnzIntervals` — ``[lo, hi]`` bounds on every value's nonzero
-  count under the Section 5.1 density model, with exact zero
-  propagation (the dead-step oracle).
+:func:`annotate_plan` walks that graph once and sets the three step
+annotations the executor may act on (``cse_of``, ``dead``,
+``hoist_l``/``hoist_r``).  Each one is only a hint: the executor
+re-checks its premise against the live tensors before it skips work.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.errors import PlanError
@@ -45,16 +28,15 @@ __all__ = [
     "Value",
     "Op",
     "PlanGraph",
-    "Analysis",
-    "DataflowResult",
-    "run_analysis",
-    "LiveValues",
-    "ReachableOperands",
-    "AvailableExpressions",
-    "NnzIntervals",
+    "ANNOTATIONS",
+    "annotate_plan",
     "expression_key",
     "canonical_pattern",
 ]
+
+#: What :func:`annotate_plan` records in ``NetworkPlan.passes``; joined
+#: with commas it is the annotation half of every plan-cache key.
+ANNOTATIONS = ("cse", "dead", "hoist")
 
 
 @dataclass(frozen=True)
@@ -64,19 +46,11 @@ class Value:
     id: int
     sub: str
     shape: tuple[int, ...]
-    est_nnz: float
     origin: tuple  # ("input", operand position) | ("step", step index)
 
     @property
     def is_input(self) -> bool:
         return self.origin[0] == "input"
-
-    @property
-    def cells(self) -> int:
-        out = 1
-        for s in self.shape:
-            out *= s
-        return out
 
 
 @dataclass(frozen=True)
@@ -97,8 +71,7 @@ class PlanGraph:
     step, that positions are in range and that each step's recorded
     ``sub_l``/``sub_r`` match the values actually at those positions —
     so merely *building* the graph validates the plan's structural
-    skeleton (the :class:`~repro.network.passes.PassVerifier` leans on
-    this: a rewrite that breaks the skeleton fails here).
+    skeleton.
     """
 
     __slots__ = ("values", "ops", "output_value", "n_inputs", "network")
@@ -133,11 +106,10 @@ class PlanGraph:
                     f"plan operand {k} subscript {reduced!r} names indices "
                     f"absent from the network operand {meta.subscript!r}"
                 )
-            shape = tuple(network.extents[ch] for ch in reduced)
-            cells = float(math.prod(shape)) if shape else 1.0
             values.append(Value(
-                id=k, sub=reduced, shape=shape,
-                est_nnz=min(float(meta.nnz), cells), origin=("input", k),
+                id=k, sub=reduced,
+                shape=tuple(network.extents[ch] for ch in reduced),
+                origin=("input", k),
             ))
 
         live = list(range(network.n_operands))
@@ -164,7 +136,7 @@ class PlanGraph:
             out_shape = tuple(network.extents[ch] for ch in step.sub_out)
             out = Value(
                 id=len(values), sub=step.sub_out, shape=out_shape,
-                est_nnz=float(step.est_nnz), origin=("step", s),
+                origin=("step", s),
             )
             values.append(out)
             ops.append(Op(
@@ -209,125 +181,6 @@ def _derive_out_sub(sub_l: str, sub_r: str, kind: str) -> str:
         "".join(ch for ch in sub_l if ch not in shared)
         + "".join(ch for ch in sub_r if ch not in shared)
     )
-
-
-# -- the generic framework ----------------------------------------------
-
-
-class Analysis:
-    """One dataflow analysis: a direction plus a transfer function.
-
-    ``direction`` is ``"forward"`` (facts flow from inputs to the
-    output) or ``"backward"``.  ``initial(graph)`` is the boundary fact
-    — before the first op (forward) or after the last (backward).
-    ``transfer(graph, op, fact)`` maps the fact across one op.  Facts
-    must be immutable (transfer returns a new fact).
-    """
-
-    direction = "forward"
-    name = "analysis"
-
-    def initial(self, graph: PlanGraph):
-        raise NotImplementedError
-
-    def transfer(self, graph: PlanGraph, op: Op, fact):
-        raise NotImplementedError
-
-
-@dataclass
-class DataflowResult:
-    """Per-program-point facts: ``before[k]``/``after[k]`` bracket op k."""
-
-    analysis: str
-    direction: str
-    before: list
-    after: list
-
-    def at_entry(self):
-        """The boundary fact at the plan's entry (forward direction)."""
-        return self.before[0] if self.before else None
-
-    def at_exit(self):
-        """The fact after the last op (forward) / before the first
-        (backward), i.e. at the plan's result."""
-        return self.after[-1] if self.after else None
-
-
-def run_analysis(graph: PlanGraph, analysis: Analysis) -> DataflowResult:
-    """Run one analysis over a plan graph.
-
-    Straight-line programs need no fixpoint: a single sweep in the
-    analysis's direction computes the exact solution.
-    """
-    n = len(graph.ops)
-    before: list = [None] * n
-    after: list = [None] * n
-    fact = analysis.initial(graph)
-    if analysis.direction == "forward":
-        for op in graph.ops:
-            before[op.index] = fact
-            fact = analysis.transfer(graph, op, fact)
-            after[op.index] = fact
-    elif analysis.direction == "backward":
-        for op in reversed(graph.ops):
-            after[op.index] = fact
-            fact = analysis.transfer(graph, op, fact)
-            before[op.index] = fact
-    else:
-        raise PlanError(
-            f"analysis direction must be forward|backward, "
-            f"got {analysis.direction!r}"
-        )
-    return DataflowResult(
-        analysis=analysis.name, direction=analysis.direction,
-        before=before, after=after,
-    )
-
-
-# -- concrete analyses ---------------------------------------------------
-
-
-class LiveValues(Analysis):
-    """Backward liveness: the set of value ids still needed at a point.
-
-    ``after[k]`` is what must be alive once step k has run.  The
-    executor frees a step's inputs eagerly; a pass annotation that
-    requires a value beyond its last structural use (a ``cse_of``
-    target's result) must therefore be modeled as an extra retention —
-    the verifier compares annotations against these baseline facts.
-    """
-
-    direction = "backward"
-    name = "live-values"
-
-    def initial(self, graph: PlanGraph) -> frozenset:
-        return frozenset({graph.output_value})
-
-    def transfer(self, graph: PlanGraph, op: Op, fact: frozenset) -> frozenset:
-        return (fact - {op.out}) | {op.left, op.right}
-
-
-class ReachableOperands(Analysis):
-    """Forward reachability: value id -> original operand positions.
-
-    The fact is a mapping for *every value defined so far*; the exit
-    fact therefore answers "which inputs feed the output" (all of them,
-    for any well-formed plan — the verifier checks exactly that).
-    """
-
-    direction = "forward"
-    name = "reachable-operands"
-
-    def initial(self, graph: PlanGraph) -> dict:
-        return {
-            v.id: frozenset({v.origin[1]})
-            for v in graph.values[: graph.n_inputs]
-        }
-
-    def transfer(self, graph: PlanGraph, op: Op, fact: dict) -> dict:
-        out = dict(fact)
-        out[op.out] = fact[op.left] | fact[op.right]
-        return out
 
 
 def canonical_pattern(step: PlanStep) -> tuple:
@@ -385,66 +238,46 @@ def expression_key(
     )
 
 
-class AvailableExpressions(Analysis):
-    """Forward available expressions: key -> first defining step index.
+def annotate_plan(
+    plan: NetworkPlan,
+    network: TensorNetwork,
+    dtypes: Sequence[str] | None = None,
+) -> NetworkPlan:
+    """The plan with every step's annotations set, in one walk.
 
-    Nothing in a plan mutates a value, so an expression once computed
-    stays *computed*; what expires is the executor's retention of its
-    result (eager frees).  The verifier combines these facts with
-    :class:`LiveValues` to decide whether a ``cse_of`` annotation is
-    honorable.
+    * ``cse_of`` — the first earlier step with an equal
+      :func:`expression_key`; the executor reuses its result only when
+      the inputs' content digests and canonical patterns match too.
+    * ``dead`` — the step's subtree reaches a declared-empty operand, so
+      its product is empty; the plan's ``zero_operands`` records that
+      premise, which the executor confirms on the live tensors.
+    * ``hoist_l``/``hoist_r`` — a contract step's input is a network
+      operand, so :meth:`~repro.network.executor.NetworkExecutor.prepare`
+      may build its tables once.
+
+    ``dtypes`` (one name per operand, when known) keeps CSE from
+    merging expressions over operands of different dtypes.
     """
-
-    direction = "forward"
-    name = "available-expressions"
-
-    def __init__(self, dtypes: Sequence[str] | None = None):
-        self.dtypes = tuple(dtypes) if dtypes is not None else None
-
-    def initial(self, graph: PlanGraph) -> dict:
-        return {}
-
-    def transfer(self, graph: PlanGraph, op: Op, fact: dict) -> dict:
-        key = expression_key(graph, op.out, self.dtypes)
-        if key in fact:
-            return fact
-        out = dict(fact)
-        out[key] = op.index
-        return out
-
-
-class NnzIntervals(Analysis):
-    """Forward ``[lo, hi]`` nonzero-count intervals per value.
-
-    The declared nnz of a live input is exact, so inputs start at
-    ``[nnz, nnz]``.  Steps widen: a contraction can cancel or miss, so
-    ``lo`` drops to 0, while ``hi`` is the product bound capped by the
-    output's cell count.  The one exact propagation is zero: an empty
-    input makes every downstream product empty, which is what the
-    dead-step pass acts on.  Monotonicity (``0 <= lo <= hi <= cells``)
-    is a verifier invariant.
-    """
-
-    direction = "forward"
-    name = "nnz-intervals"
-
-    def initial(self, graph: PlanGraph) -> dict:
-        return {
-            v.id: (float(v.est_nnz), float(v.est_nnz))
-            for v in graph.values[: graph.n_inputs]
-        }
-
-    def transfer(self, graph: PlanGraph, op: Op, fact: dict) -> dict:
-        lo_l, hi_l = fact[op.left]
-        lo_r, hi_r = fact[op.right]
-        cells = float(graph.values[op.out].cells)
-        hi = min(hi_l * hi_r, cells)
-        if op.step.kind == "outer":
-            # Distinct coordinate pairs: the product is exact on both
-            # ends (duplicates cannot arise from canonical inputs).
-            lo = min(lo_l * lo_r, cells)
-        else:
-            lo = 0.0
-        out = dict(fact)
-        out[op.out] = (lo, hi)
-        return out
+    graph = PlanGraph.from_plan(plan, network)
+    zeros = network.empty_operands()
+    empty = set(zeros)  # input value ids are operand positions
+    first_of: dict[tuple, int] = {}
+    steps = []
+    for op in graph.ops:
+        prior = first_of.setdefault(
+            expression_key(graph, op.out, dtypes), op.index
+        )
+        dead = op.left in empty or op.right in empty
+        if dead:
+            empty.add(op.out)
+        contract = op.step.kind == "contract"
+        steps.append(replace(
+            op.step,
+            cse_of=prior if prior != op.index else -1,
+            dead=dead,
+            hoist_l=contract and graph.values[op.left].is_input,
+            hoist_r=contract and graph.values[op.right].is_input,
+        ))
+    return replace(
+        plan, steps=tuple(steps), passes=ANNOTATIONS, zero_operands=zeros
+    )

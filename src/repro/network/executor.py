@@ -14,10 +14,9 @@ Intermediates are freed eagerly — each step drops its inputs from the
 live list before the next step runs — and the executor reports the peak
 intermediate footprint (nnz and bytes) alongside per-step records.
 
-Plans are rewritten by a verified optimizer pass pipeline
-(:mod:`repro.network.passes`) before caching; the executor honors the
-resulting annotations with runtime guards that keep results
-bit-identical to the unoptimized plan:
+Plans are annotated by :func:`~repro.network.dataflow.annotate_plan`
+before caching; the executor honors the annotations with runtime guards
+that keep results bit-identical to the unannotated plan:
 
 * ``dead`` steps short-circuit to an empty result once the plan's zero
   premise is confirmed against the live tensors;
@@ -44,10 +43,14 @@ import numpy as np
 from repro.core.contraction import contract
 from repro.errors import PlanError, WorkspaceLimitError
 from repro.machine.specs import DESKTOP, MachineSpec
-from repro.network.dataflow import PlanGraph, canonical_pattern
+from repro.network.dataflow import (
+    ANNOTATIONS,
+    PlanGraph,
+    annotate_plan,
+    canonical_pattern,
+)
 from repro.network.ir import TensorNetwork
 from repro.network.optimize import build_plan, resolve_optimizer
-from repro.network.passes import PassContext, resolve_pipeline
 from repro.network.plan import NetworkPlan, NetworkSignature
 from repro.runtime.executor import ContractionRuntime
 from repro.runtime.store import KeyedStore
@@ -210,12 +213,10 @@ class NetworkExecutor:
     plan_cache_size:
         How many :class:`NetworkPlan` entries the network-level LRU keeps.
     passes:
-        Optimizer pass pipeline configuration (``"default"``, a
-        comma-separated name list, a
-        :class:`~repro.network.passes.PassPipeline`, or ``None`` to
-        disable).  The resolved pipeline's key becomes part of every
-        plan-cache key, so plans produced under different pipeline (or
-        no-pipeline) configurations can never collide.
+        Whether plans get their step annotations (CSE, dead steps,
+        table hoisting; see :func:`~repro.network.dataflow.annotate_plan`).
+        The choice is part of every plan-cache key, so annotated and
+        bare plans never collide.
     """
 
     def __init__(
@@ -224,7 +225,7 @@ class NetworkExecutor:
         *,
         runtime: ContractionRuntime | None = None,
         plan_cache_size: int = 64,
-        passes="default",
+        passes: bool = True,
         **runtime_kw,
     ):
         self.machine = machine
@@ -233,7 +234,7 @@ class NetworkExecutor:
             if runtime is not None
             else ContractionRuntime(machine=machine, **runtime_kw)
         )
-        self.pipeline = resolve_pipeline(passes)
+        self.passes = passes
         # Signature key -> NetworkPlan.  Drift-tolerant: the same
         # network structure cached at nearby nonzero counts (a streamed
         # operand gained a few entries) keeps its path, re-keyed under
@@ -254,9 +255,9 @@ class NetworkExecutor:
 
     @property
     def pipeline_key(self) -> str:
-        """The pass-pipeline half of every plan-cache key (``""`` when
-        the pipeline is disabled, keeping historical keys stable)."""
-        return self.pipeline.key if self.pipeline is not None else ""
+        """The annotation half of every plan-cache key (``""`` when
+        passes are off, keeping historical keys stable)."""
+        return ",".join(ANNOTATIONS) if self.passes else ""
 
     @staticmethod
     def _operand_dtypes(operands: Sequence) -> tuple[str, ...] | None:
@@ -281,10 +282,9 @@ class NetworkExecutor:
     ) -> tuple[NetworkPlan, str]:
         """The (cached) plan for a network; returns ``(plan, source)``.
 
-        A cache miss runs the path optimizer and then the executor's
-        pass pipeline; every rewrite is checked by the pipeline's
-        verifier before the plan is cached under its pipeline-qualified
-        signature key.
+        A cache miss runs the path optimizer and, with passes on,
+        :func:`~repro.network.dataflow.annotate_plan` before the plan
+        is cached under its annotation-qualified signature key.
         """
         network, concrete, key = self._plan_key(
             subscripts, operands, optimizer, nnz
@@ -293,9 +293,10 @@ class NetworkExecutor:
         if hit is not None:
             return hit, "cache"
         plan = build_plan(network, self.machine, concrete)
-        if self.pipeline is not None:
-            context = PassContext(dtypes=self._operand_dtypes(operands))
-            plan = self.pipeline.run(plan, network, context=context)
+        if self.passes:
+            plan = annotate_plan(
+                plan, network, self._operand_dtypes(operands)
+            )
         if plan.signature_key != key:
             plan = replace(plan, signature_key=key)
         self.seed_plan(plan)
@@ -576,7 +577,6 @@ class NetworkExecutor:
         subscripts: str,
         *operands: COOTensor,
         optimizer: str = "auto",
-        volatile: Sequence[int] = (),
         backend=None,
     ) -> "PreparedNetwork":
         """Hoist everything loop-invariant out of a repeated execution.
@@ -587,10 +587,7 @@ class NetworkExecutor:
         linearizations, *and* tiled tables built now; single-input sides
         get pre-linearized.  Every touched operand is pinned in the
         runtime's operand cache so executing the prepared network many
-        times never rebuilds them.  ``volatile`` positions (content
-        changes between executions) are never hoisted regardless of
-        annotations — the same guard the
-        :class:`~repro.network.passes.PassVerifier` enforces statically.
+        times never rebuilds them.
 
         Use as a context manager (or call :meth:`PreparedNetwork.close`)
         to release the pins.
@@ -606,7 +603,6 @@ class NetworkExecutor:
             reduced.append(tensor)
 
         graph = PlanGraph.from_plan(plan, network)
-        volatile_set = set(volatile)
         zero_ok = bool(plan.zero_operands) and all(
             0 <= p < len(operands) and operands[p].nnz == 0
             for p in plan.zero_operands
@@ -618,8 +614,8 @@ class NetworkExecutor:
             if step.kind != "contract" or (step.dead and zero_ok):
                 continue
             vl, vr = graph.values[op.left], graph.values[op.right]
-            hoist_l = step.hoist_l and vl.is_input and vl.origin[1] not in volatile_set
-            hoist_r = step.hoist_r and vr.is_input and vr.origin[1] not in volatile_set
+            hoist_l = step.hoist_l and vl.is_input
+            hoist_r = step.hoist_r and vr.is_input
             if hoist_l and hoist_r:
                 info = self.runtime.prepare_pairwise(
                     reduced[vl.origin[1]], reduced[vr.origin[1]],

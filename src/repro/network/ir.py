@@ -226,9 +226,8 @@ class TensorNetwork:
     def empty_operands(self) -> tuple[int, ...]:
         """Positions of operands declared empty (``nnz == 0``).
 
-        The dead-operand pass records these as the zero premise of its
-        annotations, and the pass verifier re-derives them when checking
-        a plan's ``zero_operands`` record.
+        :func:`~repro.network.dataflow.annotate_plan` records these as
+        the zero premise of the plan's ``dead`` annotations.
         """
         return tuple(
             k for k, meta in enumerate(self.operands) if meta.nnz == 0

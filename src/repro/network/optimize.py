@@ -39,6 +39,7 @@ from repro.core.model import choose_accumulator, estimate_output_density
 from repro.errors import PlanError
 from repro.machine.cost_model import DEFAULT_WEIGHTS, AccessCostModel, ProblemShape
 from repro.machine.specs import MachineSpec
+from repro.network.dataflow import annotate_plan
 from repro.network.ir import TensorNetwork
 from repro.network.plan import NetworkPlan, NetworkSignature, PlanStep
 
@@ -386,24 +387,18 @@ def plan_network(
     machine: MachineSpec,
     optimizer: str = "auto",
     nnz=None,
-    passes=None,
+    passes: bool = False,
 ) -> NetworkPlan:
     """Parse + optimize in one call (operands may be tensors, metadata,
     or bare shapes combined with ``nnz``).
 
-    ``passes`` optionally runs the plan through a verified optimizer
-    pass pipeline (``"default"``, a comma-separated name list, or a
-    :class:`~repro.network.passes.PassPipeline`; see
-    :mod:`repro.network.passes`) before returning it — the standalone
+    ``passes`` also sets the step annotations
+    (:func:`~repro.network.dataflow.annotate_plan`) — the standalone
     analog of what :class:`~repro.network.NetworkExecutor` does on
     every plan-cache miss.
     """
     network = TensorNetwork.parse(subscripts, operands, nnz=nnz)
     plan = build_plan(network, machine, optimizer)
-    if passes is not None:
-        from repro.network.passes import resolve_pipeline
-
-        pipeline = resolve_pipeline(passes)
-        if pipeline is not None:
-            plan = pipeline.run(plan, network)
+    if passes:
+        plan = annotate_plan(plan, network)
     return plan

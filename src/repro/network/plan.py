@@ -39,10 +39,10 @@ def _machine_token(machine: MachineSpec) -> tuple:
 class NetworkSignature:
     """Hashable structural identity of one network contraction problem.
 
-    ``pipeline`` names the optimizer pass pipeline the plan was (or will
-    be) rewritten by — an empty string for the raw optimizer output.  It
-    is part of the identity so an optimized and an unoptimized plan for
-    the same network can never collide in a plan cache.
+    ``pipeline`` names the annotations the plan carries
+    (``"cse,dead,hoist"``) — an empty string for the bare optimizer
+    output.  It is part of the identity so an annotated and a bare plan
+    for the same network can never collide in a plan cache.
     """
 
     subscripts: str
@@ -96,9 +96,9 @@ class PlanStep:
     — the ``numpy.einsum_path`` convention.  ``sub_l``/``sub_r`` are the
     inputs' subscripts at that point, ``sub_out`` the result's.
 
-    The last four fields are *optimizer-pass annotations* (see
-    :mod:`repro.network.passes`).  They never change what the step
-    computes — only how the executor may shortcut it:
+    The last four fields are *plan annotations* (set by
+    :func:`repro.network.dataflow.annotate_plan`).  They never change
+    what the step computes — only how the executor may shortcut it:
 
     ``cse_of``
         Index of an earlier step computing the same expression
@@ -162,10 +162,11 @@ class NetworkPlan:
     marginalization of dead single indices — the executor reduces any
     operand whose live subscript differs before stepping.
 
-    ``passes`` records the optimizer passes applied (in order) by a
-    :class:`~repro.network.passes.PassPipeline`; ``zero_operands`` is
-    the dead-step premise — operand positions the pass pipeline saw as
-    declared-empty (``nnz == 0``).  The executor re-checks the premise
+    ``passes`` records the annotations set by
+    :func:`~repro.network.dataflow.annotate_plan` (``("cse", "dead",
+    "hoist")``, or empty on a bare plan); ``zero_operands`` is the
+    dead-step premise — operand positions declared empty
+    (``nnz == 0``).  The executor re-checks the premise
     against the live tensors before honoring any ``dead`` annotation.
     """
 

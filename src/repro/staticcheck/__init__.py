@@ -13,10 +13,7 @@ runs a kernel):
   ``__all__`` declarations);
 * :mod:`repro.staticcheck.graph_lint` — ``FSTC2xx`` hazard analysis of
   tile-task write sets (write-write conflicts, order-dependent
-  reductions) before a schedule runs;
-* :mod:`repro.staticcheck.pass_lint` — ``FSTC5xx`` soundness checks of
-  optimizer-pass plan rewrites against re-derived dataflow facts (the
-  :class:`~repro.network.passes.PassVerifier`'s engine).
+  reductions) before a schedule runs.
 
 Configuration rules (``FSTC3xx``/``FSTC6xx``/``FSTC7xx``) live with the
 configs they judge — :class:`repro.serve.ServiceConfig` and
@@ -52,13 +49,9 @@ _LAZY = {
         "expr_lint",
     ),
     **dict.fromkeys(
-        ("TileTask", "analyze_task_graph", "assert_disjoint_writes",
-         "hazards_for_stats", "write_sets_for_pairs"),
+        ("TileTask", "analyze_task_graph", "hazards_for_stats",
+         "write_sets_for_pairs"),
         "graph_lint",
-    ),
-    **dict.fromkeys(
-        ("lint_plan_annotations", "self_test_passes", "verify_rewrite"),
-        "pass_lint",
     ),
     "audit_code_registry": "registry_audit",
 }
@@ -79,7 +72,6 @@ __all__ = [
     "PlanPrediction",
     "TileTask",
     "analyze_task_graph",
-    "assert_disjoint_writes",
     "audit_case",
     "audit_code_registry",
     "audit_registry",
@@ -89,7 +81,6 @@ __all__ = [
     "hazards_for_stats",
     "lint_expression",
     "lint_file",
-    "lint_plan_annotations",
     "lint_problem",
     "lint_source",
     "lint_tree",
@@ -97,7 +88,5 @@ __all__ = [
     "max_exit_status",
     "predict_plan",
     "render_diagnostics",
-    "self_test_passes",
-    "verify_rewrite",
     "write_sets_for_pairs",
 ]

@@ -24,8 +24,8 @@ Code ranges
     Backend-layer discipline: kernel code reaching around the
     :mod:`repro.backends` interface.
 ``FSTC5xx``
-    Optimizer-pass soundness: plan rewrites checked against re-derived
-    dataflow facts.
+    Retired: optimizer-pass soundness.  Plan annotations are re-checked
+    by the network executor at run time instead.
 ``FSTC6xx``
     Autotune knobs of a serving config that would burn serving latency
     or lose learned state.
@@ -142,13 +142,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "FSTC604": (WARNING, "autotune trials floor below two samples"),
     # --- streaming (FSTC701, FSTC702 and FSTC704 are retired) ------------
     "FSTC703": (WARNING, "staleness threshold misprices incremental patching"),
-    # --- optimizer-pass soundness -----------------------------------------
-    "FSTC501": (ERROR, "unsound plan rewrite (structure or interface changed)"),
-    "FSTC502": (ERROR, "stale available-expression reuse (CSE target mismatch)"),
-    "FSTC503": (ERROR, "CSE across incompatible operand dtypes"),
-    "FSTC504": (ERROR, "table hoist crosses an operand mutation"),
-    "FSTC505": (ERROR, "density-model monotonicity violated by a rewrite"),
-    "FSTC506": (WARNING, "pass pipeline pessimized the modeled cost"),
+    # --- optimizer-pass soundness: FSTC501-FSTC506 are retired ------------
 }
 
 

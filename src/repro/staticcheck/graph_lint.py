@@ -45,7 +45,6 @@ __all__ = [
     "analyze_task_graph",
     "write_sets_for_pairs",
     "hazards_for_stats",
-    "assert_disjoint_writes",
 ]
 
 
@@ -150,26 +149,3 @@ def hazards_for_stats(stats, *, n_workers: int | None = None) -> list[Diagnostic
             "a fastcc run"
         )
     return analyze_task_graph(write_sets_for_pairs(pairs), n_workers=n_workers)
-
-
-def assert_disjoint_writes(
-    write_sets: Sequence[frozenset | set | tuple | list],
-) -> None:
-    """Pre-execution gate: raise ``SchedulerError`` on any shared tile.
-
-    The cheap O(total writes) subset of the full analysis, for callers
-    that build their own task lists.
-    """
-    from repro.errors import SchedulerError
-
-    owner: dict[Hashable, int] = {}
-    for task_id, writes in enumerate(write_sets):
-        for tile in writes:
-            prev = owner.get(tile)
-            if prev is not None:
-                raise SchedulerError(
-                    f"write-write hazard: tasks {prev} and {task_id} both "
-                    f"write accumulator tile {tile}; the task list violates "
-                    "the disjoint-tile invariant (FSTC201)"
-                )
-            owner[tile] = task_id

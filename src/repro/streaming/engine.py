@@ -108,7 +108,7 @@ class StreamState:
     __slots__ = (
         "name", "spec", "plan", "backend", "left", "right",
         "left_op", "right_op", "hl", "hr",
-        "l_idx", "r_idx", "values", "output", "seq",
+        "l_idx", "r_idx", "values", "output", "seq", "lock",
     )
 
     def __init__(self, name: str, spec: ContractionSpec, plan: Plan,
@@ -131,6 +131,9 @@ class StreamState:
         self.output: COOTensor | None = None
         # Deltas committed per side; the next one gets this number.
         self.seq = {"left": 0, "right": 0}
+        # Held by apply_delta from its state read to its commit, so two
+        # deltas on one stream never build on the same old state.
+        self.lock = threading.Lock()
 
 
 class IncrementalEngine:
@@ -403,6 +406,8 @@ class IncrementalEngine:
         The new operand, tables and output rows are computed into
         locals and committed to the stream in one final step, so a
         delta that raises leaves the stream's previous state intact.
+        Deltas on one stream run one at a time under the stream's lock;
+        deltas on different streams still run concurrently.
         """
         if side not in ("left", "right"):
             raise ConfigError(f"side must be left|right, got {side!r}")
@@ -411,93 +416,94 @@ class IncrementalEngine:
                 f"force must be incremental|full when given, got {force!r}"
             )
         state = self._state(name)
-        t0 = time.perf_counter()
-        delta = delta.canonicalize()
+        with state.lock:
+            t0 = time.perf_counter()
+            delta = delta.canonicalize()
 
-        spec = state.spec
-        plan = state.plan
-        if side == "left":
-            old_tensor, partner_op = state.left, state.right_op
-            tile, num_tiles = plan.tile_l, state.hl.num_tiles
-            own_ext, partner_ext = spec.L, spec.R
-        else:
-            old_tensor, partner_op = state.right, state.left_op
-            tile, num_tiles = plan.tile_r, state.hr.num_tiles
-            own_ext, partner_ext = spec.R, spec.L
-        assert old_tensor is not None and partner_op is not None
-
-        mode, n_touched, fraction = "noop", 0, 0.0
-        if delta.n_ops:
-            # Touched tiles: the delta's coordinates mapped through the
-            # spec's external linearizer onto this side's tile grid.
+            spec = state.spec
+            plan = state.plan
             if side == "left":
-                ext = spec.lin_l.encode(delta.coords[list(spec.left_external), :])
+                old_tensor, partner_op = state.left, state.right_op
+                tile, num_tiles = plan.tile_l, state.hl.num_tiles
+                own_ext, partner_ext = spec.L, spec.R
             else:
-                ext = spec.lin_r.encode(delta.coords[list(spec.right_external), :])
-            touched = np.unique(ext // np.int64(tile))
-            n_touched = int(touched.shape[0])
+                old_tensor, partner_op = state.right, state.left_op
+                tile, num_tiles = plan.tile_r, state.hr.num_tiles
+                own_ext, partner_ext = spec.R, spec.L
+            assert old_tensor is not None and partner_op is not None
 
-            new_tensor = delta.apply(old_tensor)
-            new_op = (
-                spec.linearize_left(new_tensor) if side == "left"
-                else spec.linearize_right(new_tensor)
-            ).sum_duplicates()
-
-            # -- Section 5.1 pricing of the incremental path ------------
-            # Work is modeled as multiply-accumulate volume: the kernel's
-            # per-tile-pair cost bound is nnz(HL_i) * nnz(HR_j), so the
-            # affected fraction is (nnz in touched tiles) / (total nnz)
-            # of the mutated side (the partner's volume cancels), plus
-            # the modeled cost of re-draining the patched output rows —
-            # the plan's estimated output density (Eq. 5.1) times the
-            # patched index space — against the full output's modeled
-            # row count.
-            tile_of = new_op.ext // np.int64(tile)
-            per_tile = np.bincount(tile_of, minlength=num_tiles)
-            affected_nnz = int(per_tile[touched].sum())
-            mults_full = float(new_op.nnz) * float(partner_op.nnz)
-            mults_inc = float(affected_nnz) * float(partner_op.nnz)
-            rows_full = plan.est_output_density * float(own_ext) * float(partner_ext)
-            rows_inc = plan.est_output_density * float(
-                min(n_touched * tile, own_ext)
-            ) * float(partner_ext)
-            denom = mults_full + rows_full
-            fraction = (mults_inc + rows_inc) / denom if denom > 0 else 1.0
-
-            mode = "incremental" if fraction <= self.staleness_threshold else "full"
-            if force is not None:
-                mode = force
-            if mode == "incremental":
-                tables, rows = self._patch(state, side, new_op, touched, tile)
-            else:
-                tables, rows = self._rebuild(state, side, new_op, tile)
-
-        # -- Commit: nothing above wrote to the stream's state ----------
-        if mode != "noop" and self.runtime is not None:
-            self.runtime.invalidate_operand(old_tensor)
-        with self._lock:
-            if mode != "noop":
+            mode, n_touched, fraction = "noop", 0, 0.0
+            if delta.n_ops:
+                # Touched tiles: the delta's coordinates mapped through the
+                # spec's external linearizer onto this side's tile grid.
                 if side == "left":
-                    state.left, state.left_op, state.hl = new_tensor, new_op, tables
+                    ext = spec.lin_l.encode(delta.coords[list(spec.left_external), :])
                 else:
-                    state.right, state.right_op, state.hr = new_tensor, new_op, tables
-                state.l_idx, state.r_idx, state.values, state.output = rows
-            if mode == "incremental":
-                self.counters.stream_incremental += 1
-            elif mode == "full":
-                self.counters.stream_full += 1
-            stats = StreamStats(
-                name=state.name, side=side, mode=mode, seq=state.seq[side],
-                tiles_touched=n_touched, tiles_total=num_tiles,
-                modeled_fraction=float(fraction),
-                seconds=time.perf_counter() - t0,
-                output_nnz=state.output.nnz if state.output is not None else 0,
-            )
-            state.seq[side] += 1
-            self._deltas[mode] += 1
-            self._seconds[mode] += stats.seconds
-            self._fraction_sum += stats.modeled_fraction
-        return stats
+                    ext = spec.lin_r.encode(delta.coords[list(spec.right_external), :])
+                touched = np.unique(ext // np.int64(tile))
+                n_touched = int(touched.shape[0])
+
+                new_tensor = delta.apply(old_tensor)
+                new_op = (
+                    spec.linearize_left(new_tensor) if side == "left"
+                    else spec.linearize_right(new_tensor)
+                ).sum_duplicates()
+
+                # -- Section 5.1 pricing of the incremental path ------------
+                # Work is modeled as multiply-accumulate volume: the kernel's
+                # per-tile-pair cost bound is nnz(HL_i) * nnz(HR_j), so the
+                # affected fraction is (nnz in touched tiles) / (total nnz)
+                # of the mutated side (the partner's volume cancels), plus
+                # the modeled cost of re-draining the patched output rows —
+                # the plan's estimated output density (Eq. 5.1) times the
+                # patched index space — against the full output's modeled
+                # row count.
+                tile_of = new_op.ext // np.int64(tile)
+                per_tile = np.bincount(tile_of, minlength=num_tiles)
+                affected_nnz = int(per_tile[touched].sum())
+                mults_full = float(new_op.nnz) * float(partner_op.nnz)
+                mults_inc = float(affected_nnz) * float(partner_op.nnz)
+                rows_full = plan.est_output_density * float(own_ext) * float(partner_ext)
+                rows_inc = plan.est_output_density * float(
+                    min(n_touched * tile, own_ext)
+                ) * float(partner_ext)
+                denom = mults_full + rows_full
+                fraction = (mults_inc + rows_inc) / denom if denom > 0 else 1.0
+
+                mode = "incremental" if fraction <= self.staleness_threshold else "full"
+                if force is not None:
+                    mode = force
+                if mode == "incremental":
+                    tables, rows = self._patch(state, side, new_op, touched, tile)
+                else:
+                    tables, rows = self._rebuild(state, side, new_op, tile)
+
+            # -- Commit: nothing above wrote to the stream's state ----------
+            if mode != "noop" and self.runtime is not None:
+                self.runtime.invalidate_operand(old_tensor)
+            with self._lock:
+                if mode != "noop":
+                    if side == "left":
+                        state.left, state.left_op, state.hl = new_tensor, new_op, tables
+                    else:
+                        state.right, state.right_op, state.hr = new_tensor, new_op, tables
+                    state.l_idx, state.r_idx, state.values, state.output = rows
+                if mode == "incremental":
+                    self.counters.stream_incremental += 1
+                elif mode == "full":
+                    self.counters.stream_full += 1
+                stats = StreamStats(
+                    name=state.name, side=side, mode=mode, seq=state.seq[side],
+                    tiles_touched=n_touched, tiles_total=num_tiles,
+                    modeled_fraction=float(fraction),
+                    seconds=time.perf_counter() - t0,
+                    output_nnz=state.output.nnz if state.output is not None else 0,
+                )
+                state.seq[side] += 1
+                self._deltas[mode] += 1
+                self._seconds[mode] += stats.seconds
+                self._fraction_sum += stats.modeled_fraction
+            return stats
 
     def _patch(
         self,

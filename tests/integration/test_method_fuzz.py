@@ -179,7 +179,7 @@ def test_pass_pipeline_differential_bitwise(problem):
         name for name, (ok, _) in sorted(backend_status().items()) if ok
     ]
     for backend in backends:
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         opt = NetworkExecutor(machine=DESKTOP)
         ref = base.contract(subscripts, *operands, backend=backend)
         out = opt.contract(subscripts, *operands, backend=backend)

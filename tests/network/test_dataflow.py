@@ -1,5 +1,7 @@
-"""Unit tests for the dataflow framework over the network IR."""
+"""Unit tests for the plan graph and the plan annotations."""
 
+import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -7,17 +9,24 @@ import pytest
 from repro.errors import PlanError
 from repro.machine.specs import DESKTOP
 from repro.network.dataflow import (
-    AvailableExpressions,
-    LiveValues,
-    NnzIntervals,
+    ANNOTATIONS,
     PlanGraph,
-    ReachableOperands,
+    annotate_plan,
     canonical_pattern,
     expression_key,
-    run_analysis,
 )
 from repro.network.ir import TensorNetwork
 from repro.network.optimize import build_plan
+
+#: Plans recorded from the optimizer-pass pipeline that annotate_plan
+#: replaced (cse, dead, hoist over build_plan), one per fixture network
+#: and path optimizer.  They pin the annotations; do not regenerate them
+#: from annotate_plan unless an annotation is meant to change.
+ANNOTATIONS_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "data", "network_annotations.json"
+)
+with open(ANNOTATIONS_PATH, encoding="utf-8") as _fh:
+    RECORDED = json.load(_fh)
 
 
 def chain():
@@ -66,39 +75,6 @@ class TestPlanGraph:
         assert v.sub == plan.steps[0].sub_out
 
 
-class TestLiveValues:
-    def test_inputs_live_until_used(self):
-        network, plan = chain()
-        graph = PlanGraph.from_plan(plan, network)
-        res = run_analysis(graph, LiveValues())
-        # only the final output is live after the last step
-        assert res.after[len(graph.ops) - 1] == frozenset(
-            {graph.output_value}
-        )
-        # every op's inputs are live right before it runs
-        for op in graph.ops:
-            assert op.left in res.before[op.index]
-            assert op.right in res.before[op.index]
-
-
-class TestReachableOperands:
-    def test_output_reaches_every_operand(self):
-        network, plan = chain()
-        graph = PlanGraph.from_plan(plan, network)
-        reach = run_analysis(graph, ReachableOperands()).at_exit()
-        assert reach[graph.output_value] == frozenset({0, 1, 2})
-
-    def test_intermediate_reaches_its_subtree(self):
-        network, plan = twins()
-        graph = PlanGraph.from_plan(plan, network)
-        reach = run_analysis(graph, ReachableOperands()).at_exit()
-        subtree_sizes = sorted(
-            len(reach[graph.value_of_step(k).id])
-            for k in range(len(graph.ops) - 1)
-        )
-        assert subtree_sizes == [2, 2]
-
-
 class TestExpressionKeys:
     def test_isomorphic_steps_share_a_key(self):
         network, plan = twins()
@@ -121,29 +97,33 @@ class TestExpressionKeys:
         p1 = canonical_pattern(plan.steps[1])
         assert p0 == p1
 
-    def test_available_expressions_record_first_definition(self):
-        network, plan = twins()
-        graph = PlanGraph.from_plan(plan, network)
-        avail = run_analysis(graph, AvailableExpressions()).at_exit()
-        k0 = expression_key(graph, graph.value_of_step(0).id)
-        assert avail[k0] == 0  # first definition wins
 
-
-class TestNnzIntervals:
-    def test_bounds_bracket_declared_nnz(self):
-        network, plan = chain()
-        graph = PlanGraph.from_plan(plan, network)
-        intervals = run_analysis(graph, NnzIntervals()).at_exit()
-        for op in graph.ops:
-            lo, hi = intervals[op.out]
-            assert 0.0 <= lo <= hi <= graph.values[op.out].cells
-
-    def test_empty_operand_pins_interval_to_zero(self):
+class TestAnnotatePlan:
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_reproduces_recorded_plan(self, name):
+        case = RECORDED[name]
         network = TensorNetwork.parse(
-            "ij,jk,kl->il", [(10, 10)] * 3, nnz=[25, 0, 25]
+            case["subscripts"], [tuple(s) for s in case["shapes"]],
+            nnz=case["nnz"],
         )
-        plan = build_plan(network, DESKTOP, "dp")
-        graph = PlanGraph.from_plan(plan, network)
-        intervals = run_analysis(graph, NnzIntervals()).at_exit()
-        lo, hi = intervals[graph.output_value]
-        assert (lo, hi) == (0.0, 0.0)
+        plan = build_plan(network, DESKTOP, case["optimizer"])
+        dtypes = case["dtypes"]
+        annotated = annotate_plan(
+            plan, network, tuple(dtypes) if dtypes is not None else None
+        )
+        assert json.loads(json.dumps(annotated.to_json())) == case["plan"]
+
+    def test_records_cover_every_annotation(self):
+        steps = [s for case in RECORDED.values() for s in case["plan"]["steps"]]
+        assert any(s["cse_of"] >= 0 for s in steps)
+        assert any(s["dead"] for s in steps)
+        assert any(s["dead"] and s["kind"] == "outer" for s in steps)
+        assert any(not s["dead"] for s in steps)
+        assert any(s["hoist_l"] and not s["hoist_r"] for s in steps)
+
+    def test_bare_plan_input_is_not_mutated(self):
+        network, plan = twins()
+        annotated = annotate_plan(plan, network)
+        assert plan.passes == () and annotated.passes == ANNOTATIONS
+        assert all(s.cse_of == -1 for s in plan.steps)
+        assert any(s.cse_of >= 0 for s in annotated.steps)

@@ -53,7 +53,7 @@ class TestAnnotations:
 
         plan = plan_network(
             "ab,bc,cd->ad", [(12, 12)] * 3, machine=DESKTOP,
-            nnz=[40, 0, 40], passes="default",
+            nnz=[40, 0, 40], passes=True,
         )
         assert plan.passes == ("cse", "dead", "hoist")
         assert plan.zero_operands == (1,)
@@ -78,7 +78,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("optimizer", ["left", "greedy", "dp", "sparsity"])
     def test_optimized_matches_unoptimized(self, optimizer):
         subs, ops = twin_operands()
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         opt = NetworkExecutor(machine=DESKTOP)
         ref = base.contract(subs, *ops, optimizer=optimizer)
         out = opt.contract(subs, *ops, optimizer=optimizer)
@@ -96,7 +96,7 @@ class TestBitIdentity:
         opt = NetworkExecutor(machine=DESKTOP)
         plan, _ = opt.plan(subs, [a, b, c, d], optimizer="dp")
         assert any(s.cse_of >= 0 for s in plan.steps)
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         ref = base.contract(subs, a, b, c, d, optimizer="dp")
         out = opt.contract(subs, a, b, c, d, optimizer="dp")
         assert np.array_equal(ref.to_dense(), out.to_dense())
@@ -106,7 +106,7 @@ class TestBitIdentity:
     def test_dead_skip_emits_empty_result(self):
         subs, ops = chain_operands()
         ops[1] = COOTensor.empty(ops[1].shape)
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         opt = NetworkExecutor(machine=DESKTOP)
         ref = base.contract(subs, *ops)
         out = opt.contract(subs, *ops)
@@ -124,7 +124,7 @@ class TestBitIdentity:
         assert any(s.dead for s in plan.steps)
         ops = [random_coo((10, 10), nnz=25, seed=k) for k in range(3)]
         out, report = ex.execute(plan, ops)
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         ref = base.contract(network_subs, *ops)
         assert np.array_equal(ref.to_dense(), out.to_dense())
         assert ex.metrics()["dead_skips"] == 0
@@ -145,7 +145,7 @@ class TestPlanCacheKeying:
     def test_executors_cache_under_distinct_keys(self):
         subs, ops = chain_operands()
         opt = NetworkExecutor(machine=DESKTOP)
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         p_opt, _ = opt.plan(subs, ops, optimizer="dp")
         p_base, _ = base.plan(subs, ops, optimizer="dp")
         assert p_opt.signature_key != p_base.signature_key
@@ -158,10 +158,7 @@ class TestPlanCacheKeying:
         assert NetworkExecutor(machine=DESKTOP).pipeline_key == (
             "cse,dead,hoist"
         )
-        assert NetworkExecutor(machine=DESKTOP, passes=None).pipeline_key == ""
-        assert NetworkExecutor(
-            machine=DESKTOP, passes="cse"
-        ).pipeline_key == "cse"
+        assert NetworkExecutor(machine=DESKTOP, passes=False).pipeline_key == ""
 
 
 class TestJsonRoundTrip:
@@ -182,7 +179,7 @@ class TestPrepare:
     def test_prepare_pins_and_unpins(self):
         subs, ops = chain_operands()
         ex = NetworkExecutor(machine=DESKTOP)
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
+        base = NetworkExecutor(machine=DESKTOP, passes=False)
         ref = base.contract(subs, *ops)
         with ex.prepare(subs, *ops) as prepared:
             assert ex.runtime.metrics()["operands_pinned"] > 0
@@ -200,17 +197,6 @@ class TestPrepare:
         prepared.close()  # idempotent
         with pytest.raises(PlanError):
             prepared.execute()
-
-    def test_volatile_operands_not_hoisted(self):
-        subs, ops = chain_operands()
-        ex = NetworkExecutor(machine=DESKTOP)
-        volatile = tuple(range(len(ops)))
-        with ex.prepare(subs, *ops, volatile=volatile) as prepared:
-            assert prepared.tables_built == 0
-            out = prepared.execute()
-        base = NetworkExecutor(machine=DESKTOP, passes=None)
-        ref = base.contract(subs, *ops)
-        assert np.array_equal(ref.to_dense(), out.to_dense())
 
 
 class TestStepResultCache:

@@ -256,7 +256,7 @@ class TestCrossRequestCSE:
 
     def test_shared_results_match_direct_execution(self):
         requests = self.network_batch(n=3)
-        expected = NetworkExecutor(machine=DESKTOP, passes=None).contract(
+        expected = NetworkExecutor(machine=DESKTOP, passes=False).contract(
             "ij,jk,kl->il",
             *requests[0].operands,
         )

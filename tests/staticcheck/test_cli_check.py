@@ -1,7 +1,5 @@
 """End-to-end tests of ``python -m repro check``."""
 
-import pytest
-
 from repro.__main__ import main
 
 
@@ -41,24 +39,6 @@ class TestJsonOutput:
         doc = json.loads(capsys.readouterr().out)
         assert status == 0
         assert "verdict" in doc
-
-
-class TestPassSelfTest:
-    def test_passes_gate_is_clean(self, capsys):
-        assert main(["check", "--passes"]) == 0
-        out = capsys.readouterr().out
-        assert "pass self-test:" in out
-        assert "corruptions caught" in out
-
-    def test_passes_json_summary(self, capsys):
-        import json
-
-        assert main(["check", "--passes", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["errors"] == 0
-        assert doc["summary"]["errors"] == 0
-        assert doc["summary"]["clean_pipelines"] > 0
-        assert doc["summary"]["corruptions_caught"] > 0
 
 
 class TestRegistryAudit:

@@ -7,12 +7,11 @@ from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec
 from repro.core.tiled_co import tiled_co_contract
 from repro.data.random_tensors import random_coo
-from repro.errors import SchedulerError, StaticCheckError
+from repro.errors import StaticCheckError
 from repro.machine.specs import DESKTOP
 from repro.staticcheck import (
     TileTask,
     analyze_task_graph,
-    assert_disjoint_writes,
     hazards_for_stats,
     write_sets_for_pairs,
 )
@@ -56,15 +55,6 @@ class TestAnalyzeTaskGraph:
     def test_stats_adapter_requires_task_pairs(self):
         with pytest.raises(StaticCheckError):
             hazards_for_stats(object())
-
-
-class TestAssertDisjointWrites:
-    def test_clean(self):
-        assert_disjoint_writes([{(0, 0)}, {(0, 1)}])
-
-    def test_conflict_raises(self):
-        with pytest.raises(SchedulerError, match="FSTC201"):
-            assert_disjoint_writes([{(0, 0)}, {(0, 1)}, {(0, 0)}])
 
 
 class TestKernelIntegration:

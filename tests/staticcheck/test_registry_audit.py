@@ -50,29 +50,29 @@ class TestDrift:
         assert "missing from the registry" in diags[0].message
 
     def test_undocumented_registered_code(self, tmp_path):
-        docs = write_docs(tmp_path, catalogue_text(skip=("FSTC501",)))
+        docs = write_docs(tmp_path, catalogue_text(skip=("FSTC401",)))
         diags = audit_code_registry(docs)
         assert len(diags) == 1
-        assert "FSTC501" in diags[0].message
+        assert "FSTC401" in diags[0].message
         assert "not documented" in diags[0].message
 
     def test_severity_mismatch(self, tmp_path):
         docs = write_docs(
-            tmp_path, catalogue_text(overrides={"FSTC506": "error"})
+            tmp_path, catalogue_text(overrides={"FSTC202": "error"})
         )
         diags = audit_code_registry(docs)
         assert len(diags) == 1
-        assert "FSTC506" in diags[0].message
+        assert "FSTC202" in diags[0].message
         assert "documented as 'error'" in diags[0].message
 
     def test_duplicate_entry(self, tmp_path):
         docs = write_docs(
             tmp_path,
-            catalogue_text(extra="**FSTC501** (error) — duplicate entry."),
+            catalogue_text(extra="**FSTC401** (error) — duplicate entry."),
         )
         diags = audit_code_registry(docs)
         assert len(diags) == 1
-        assert "FSTC501" in diags[0].message
+        assert "FSTC401" in diags[0].message
         assert "2 catalogue entries" in diags[0].message
 
 

@@ -1,5 +1,7 @@
 """IncrementalEngine: patching, pricing, fallback, invalidation, atomicity."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,52 @@ class TestFaultInjection:
         engine.apply_delta("s", delta_b, force="incremental")
         state = engine._state("s")
         mutated = delta_b.apply(left)
+        assert output_bytes(state.left) == output_bytes(mutated)
+        ref = repro.contract(mutated, right, PAIRS, plan=state.plan)
+        assert output_bytes(engine.result("s")) == output_bytes(ref)
+
+
+class TestConcurrentDeltas:
+    def test_two_threads_on_one_stream_both_land(self, monkeypatch):
+        # Both threads are held at a barrier right after _patch: were
+        # they to compute from the same old state, the second commit
+        # would drop the first delta.  Serialized, the first waits out
+        # the barrier timeout alone and commits before the second reads.
+        engine = make_engine()
+        left, right, _ = register(engine, tile_size=FAULT_TILE)
+        barrier = threading.Barrier(2)
+        patch = engine._patch
+
+        def held_patch(*args, **kwargs):
+            out = patch(*args, **kwargs)
+            try:
+                barrier.wait(timeout=0.5)
+            except threading.BrokenBarrierError:
+                pass
+            return out
+
+        monkeypatch.setattr(engine, "_patch", held_patch)
+        deltas = [
+            TestFaultInjection().delta_for("left", col)
+            for col in (1, 2 * FAULT_TILE + 1)  # tiles 0 and 2
+        ]
+        errors = []
+
+        def apply(delta):
+            try:
+                engine.apply_delta("s", delta, force="incremental")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=apply, args=(d,)) for d in deltas]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        state = engine._state("s")
+        assert state.seq["left"] == 2
+        mutated = deltas[1].apply(deltas[0].apply(left))
         assert output_bytes(state.left) == output_bytes(mutated)
         ref = repro.contract(mutated, right, PAIRS, plan=state.plan)
         assert output_bytes(engine.result("s")) == output_bytes(ref)

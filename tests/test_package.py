@@ -53,17 +53,21 @@ class TestImports:
         assert out.stdout.strip() == "ok"
 
     def test_serving_imports_skip_the_lint_passes(self):
-        # Service and shard processes only build Diagnostic records; the
-        # lint passes load on first use of one of their names.
+        # Neither the network layer nor the service and shard processes
+        # load repro.staticcheck on import; the lint passes load on first
+        # use of one of their names.
         import subprocess
         import sys
 
-        lint = ["ast_lint", "expr_lint", "audit", "graph_lint", "pass_lint",
-                "registry_audit"]
+        lint = ["repro.staticcheck"] + [
+            "repro.staticcheck." + m
+            for m in ("ast_lint", "expr_lint", "audit", "graph_lint",
+                      "registry_audit")
+        ]
         code = (
             "import sys\n"
             "import repro.network, repro.serve.service, repro.serve.router\n"
-            f"print([m for m in {lint!r} if 'repro.staticcheck.' + m in sys.modules])\n"
+            f"print([m for m in {lint!r} if m in sys.modules])\n"
             "from repro.staticcheck import lint_expression, audit_code_registry\n"
             "print('repro.staticcheck.expr_lint' in sys.modules)\n"
         )
