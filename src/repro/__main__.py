@@ -209,7 +209,7 @@ def _cmd_network(args) -> int:
 
     from repro.data.random_tensors import random_coo
     from repro.machine.specs import DESKTOP, SERVER
-    from repro.network import NetworkExecutor, TensorNetwork, build_plan
+    from repro.network import NetworkExecutor, TensorNetwork, annotate_plan, build_plan
     from repro.network.optimize import resolve_optimizer
 
     machine = SERVER if args.machine == "server" else DESKTOP
@@ -220,6 +220,8 @@ def _cmd_network(args) -> int:
     plan = build_plan(
         network, machine, resolve_optimizer(args.optimizer, network)
     )
+    if args.passes == "default":  # the annotated plan the executor runs
+        plan = annotate_plan(plan, network)
     if args.json:
         print(json.dumps(plan.to_json(), indent=2))
     else:

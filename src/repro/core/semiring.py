@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.analysis.counters import Counters, ensure_counters
-from repro.core.plan import ContractionSpec
+from repro.core.plan import ContractionSpec, LinearizedOperand
 from repro.errors import ConfigError
 from repro.hashing.slice_table import SliceTable
 from repro.tensors.coo import COOTensor
@@ -107,8 +107,7 @@ def semiring_contract(
     hl = SliceTable(left_op.con, left_op.ext, left_op.values, counters=counters)
     hr = SliceTable(right_op.con, right_op.ext, right_op.values, counters=counters)
     keys_l = hl.keys()
-    found, starts_r, counts_r = hr.query_batch(keys_l)
-    counters.hash_queries += keys_l.shape[0]
+    found, starts_r, counts_r = hr.query_batch(keys_l)  # counts the queries
     starts_l, counts_l = hl.spans_for_all_keys()
     sel = found
     ia, ib = grouped_cartesian(
@@ -146,8 +145,6 @@ def _reduce_duplicates(op, semiring: Semiring, con_extent: int):
     svals = op.values[order]
     uniq, offsets = group_boundaries(skeys)
     vals = semiring.add.reduceat(svals, offsets[:-1])
-    from repro.core.plan import LinearizedOperand
-
     return LinearizedOperand(
         ext=uniq // np.int64(op.con_extent),
         con=uniq % np.int64(op.con_extent),

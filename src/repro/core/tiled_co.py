@@ -3,18 +3,18 @@
 Implements Algorithms 5 and 6 of the paper.  The output index space
 ``L x R`` is partitioned into ``NL x NR`` tiles; each input is split
 into per-tile hash tables keyed by the contraction index
-(``HL_i : C -> P({0..T_L-1} x V)``), and every tile pair ``(i, j)`` is an
-independent task:
+(``HL_i : C -> P({0..T_L-1} x V)``).  A tile pair ``(i, j)`` is the unit
+of output, cost and scheduling simulation; one task runs a left tile's
+whole row of pairs:
 
 1. **construction** — build the tiled tables (parallelizable; the paper
    splits threads between the two operands);
-2. **co-iteration** — for each ``c`` present in both ``HL_i`` and
-   ``HR_j``, form the outer product of the two slices;
+2. **co-iteration** — join ``HL_i``'s keys once against ``HR``'s key
+   index, split by ``j``, and form each shared ``c``'s outer product;
 3. **accumulation** — upsert partial products into a dense or sparse
    tile workspace (chosen by the model);
-4. **drain** — walk the workspace's active entries, remap intra-tile to
-   global indices, and append to a thread-local COO builder; the master
-   concatenates builders at the end.
+4. **drain** — walk the workspace's active entries and remap intra-tile
+   to global indices; the master concatenates the pairs' blocks.
 
 The per-``c`` outer products of all matched keys are expanded with the
 repeat-based :func:`repro.util.groups.grouped_pairs` in bounded chunks,
@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +38,14 @@ from repro.core.accumulators import DEFAULT_DENSE_CELL_GUARD, make_accumulator
 from repro.core.plan import LinearizedOperand, Plan
 from repro.errors import ConfigError, PlanError, ShapeError, WorkspaceLimitError
 from repro.hashing.slice_table import SliceTable
-from repro.parallel.memory_pool import COOBuilder
 from repro.parallel.taskqueue import TaskQueue
-from repro.util.arrays import ceil_div
-from repro.util.groups import grouped_pairs
+from repro.util.arrays import INDEX_DTYPE, VALUE_DTYPE, ceil_div
+from repro.util.groups import (
+    concat_ranges,
+    group_boundaries,
+    grouped_pairs,
+    match_sorted_keys,
+)
 
 __all__ = [
     "TiledTables",
@@ -63,16 +68,40 @@ DEFAULT_MAX_TASKS = 1 << 21
 class TiledTables:
     """One operand's per-tile hash tables (``HL_i`` of Section 4.1)."""
 
-    __slots__ = ("tile", "num_tiles", "tables", "nnz")
+    __slots__ = ("tile", "num_tiles", "tables", "nnz", "_key_index")
 
     def __init__(self, tile: int, num_tiles: int, tables: list[SliceTable | None], nnz: int):
         self.tile = tile
         self.num_tiles = num_tiles
         self.tables = tables
         self.nnz = nnz
+        self._key_index = None
 
     def nonempty_tiles(self) -> list[int]:
         return [i for i, t in enumerate(self.tables) if t is not None]
+
+    def key_index(self) -> tuple[np.ndarray, ...]:
+        """All tiles' keys as one sorted ``c -> (tile j, start, count)`` index.
+
+        ``(keys, offsets, tiles, starts, counts)``: distinct keys ascending;
+        key ``g``'s entries ``offsets[g]:offsets[g + 1]`` name each tile
+        holding it (ascending ``j``) and its slice span there.  Needs a
+        nonempty tile; built once and kept, so prebuilt tables share it.
+        """
+        if self._key_index is None:
+            nonempty = self.nonempty_tiles()
+            parts = [self.tables[j] for j in nonempty]
+            keys = np.concatenate([t.keys() for t in parts])
+            order = np.argsort(keys, kind="stable")  # tiles concatenated in ascending j
+            starts, counts = (
+                np.concatenate(col)[order]
+                for col in zip(*(t.spans_for_all_keys() for t in parts))
+            )
+            # The narrowest dtype makes a stable sort by tile a radix sort.
+            tile_ids = np.array(nonempty, dtype=np.min_scalar_type(self.num_tiles))
+            tiles = np.repeat(tile_ids, [t.num_keys for t in parts])[order]
+            self._key_index = (*group_boundaries(keys[order]), tiles, starts, counts)
+        return self._key_index
 
 
 def build_tiled_tables(
@@ -106,23 +135,18 @@ def build_tiled_tables(
     sorted_con = operand.con[order]
     sorted_vals = operand.values[order]
 
-    from repro.util.groups import group_boundaries
-
     tile_ids, offsets = group_boundaries(sorted_tiles)
 
-    def make_task(g: int):
-        def task() -> None:
-            lo, hi = int(offsets[g]), int(offsets[g + 1])
-            tables[int(tile_ids[g])] = SliceTable(
-                sorted_con[lo:hi],
-                sorted_intra[lo:hi],
-                sorted_vals[lo:hi],
-                counters=counters,
-            )
+    def build(g: int) -> None:
+        lo, hi = int(offsets[g]), int(offsets[g + 1])
+        tables[int(tile_ids[g])] = SliceTable(
+            sorted_con[lo:hi],
+            sorted_intra[lo:hi],
+            sorted_vals[lo:hi],
+            counters=counters,
+        )
 
-        return task
-
-    TaskQueue(n_workers).run([make_task(g) for g in range(tile_ids.shape[0])])
+    TaskQueue(n_workers).run([partial(build, g) for g in range(tile_ids.shape[0])])
     return TiledTables(tile, num_tiles, tables, operand.nnz)
 
 
@@ -141,51 +165,29 @@ def build_tiled_tables_pair(
     the other half construct ``HR`` (OpenMP nested parallel regions).
     With one worker the two builds simply run back to back.
     """
-    if n_workers <= 1:
-        return (
-            build_tiled_tables(left, tile_l, counters=counters),
-            build_tiled_tables(right, tile_r, counters=counters),
-        )
     left_team = max(1, n_workers // 2)
     right_team = max(1, n_workers - left_team)
-    results: list[TiledTables | None] = [None, None]
-    errors: list[BaseException] = []
-
-    def build(slot: int, operand: LinearizedOperand, tile: int, team: int) -> None:
-        try:
-            results[slot] = build_tiled_tables(
-                operand, tile, n_workers=team, counters=counters
-            )
-        except BaseException as exc:  # noqa: BLE001 - reraised below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=build, args=(0, left, tile_l, left_team)),
-        threading.Thread(target=build, args=(1, right, tile_r, right_team)),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    assert results[0] is not None and results[1] is not None
-    return results[0], results[1]
+    records = TaskQueue(2 if n_workers > 1 else 1).run([
+        partial(build_tiled_tables, op, tile, n_workers=team, counters=counters)
+        for op, tile, team in ((left, tile_l, left_team), (right, tile_r, right_team))
+    ])
+    return records[0].result, records[1].result
 
 
 @dataclass
 class ContractionStats:
     """Everything measured during one kernel execution.
 
-    ``task_costs`` (seconds per tile-pair task, in dispatch order) feed
-    the scheduling simulator; ``phase_seconds`` breaks the run into the
-    paper's four steps.
+    ``task_pairs`` is the tile pairs' heavy-first (LPT) order, also their
+    blocks' order in the output; ``task_costs`` (seconds per pair, aligned
+    with it) feed the scheduling simulator; ``phase_seconds`` breaks the
+    run into the paper's four steps.
     """
 
     plan: Plan | None = None
     counters: Counters = field(default_factory=Counters)
     task_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
-    task_pairs: list = field(default_factory=list)  # (i, j) in dispatch order
+    task_pairs: list = field(default_factory=list)
     phase_seconds: dict[str, float] = field(default_factory=dict)
     output_nnz: int = 0
     num_tasks: int = 0
@@ -210,9 +212,7 @@ def tiled_co_contract(
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     dense_cell_guard: int = DEFAULT_DENSE_CELL_GUARD,
     max_tasks: int = DEFAULT_MAX_TASKS,
-    builder_chunk_rows: int = 1 << 16,
     trace=None,
-    schedule: str = "heavy_first",
     tables: "tuple[TiledTables, TiledTables] | None" = None,
     backend: "str | KernelBackend | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ContractionStats]:
@@ -222,12 +222,11 @@ def tiled_co_contract(
     coordinates (each output tile is disjoint, and each tile's drain
     emits unique positions).
 
-    ``schedule`` orders the tile-pair task queue: ``"heavy_first"``
-    (default) dispatches tasks by descending estimated cost
-    (``nnz(HL_i) * nnz(HR_j)``, an upper bound on the tile's multiply-
-    accumulates) — the LPT heuristic that tightens greedy dynamic
-    scheduling's makespan when a few heavy tiles dominate;
-    ``"fifo"`` keeps grid order (Algorithm 5's nested loops verbatim).
+    One task per nonempty left tile, heaviest first, joins its keys once
+    against :meth:`TiledTables.key_index` (one query per key) and runs its
+    pairs on the worker's accumulator; a pair's cost includes a share of
+    the join.  The pairs' blocks are concatenated in LPT order (descending
+    ``nnz(HL_i) * nnz(HR_j)``), so the output is the same for any worker count.
 
     ``tables`` injects prebuilt :class:`TiledTables` for both operands
     (from :func:`build_tiled_tables_pair`), skipping the construction
@@ -240,8 +239,6 @@ def tiled_co_contract(
     GEMM) short-circuits the tiled loop entirely when it accepts the
     problem; otherwise its element ops run inside Algorithm 6.
     """
-    if schedule not in ("heavy_first", "fifo"):
-        raise ConfigError(f"schedule must be heavy_first|fifo, got {schedule!r}")
     if left.con_extent != right.con_extent:
         raise ShapeError(
             f"contraction extents differ: {left.con_extent} vs {right.con_extent}"
@@ -286,88 +283,6 @@ def tiled_co_contract(
         )
     stats.phase_seconds["build_tables"] = time.perf_counter() - t0
 
-    expected_tile_nnz = max(8, int(plan.est_output_density * tile_l * tile_r) + 1)
-    tile_r_np = np.int64(tile_r)
-
-    # Per-worker state: a reusable accumulator and a COO builder.
-    local = threading.local()
-    all_builders: list[COOBuilder] = []
-    builders_lock = threading.Lock()
-
-    def get_state():
-        acc = getattr(local, "acc", None)
-        if acc is None:
-            acc = make_accumulator(
-                plan.accumulator,
-                tile_l,
-                tile_r,
-                expected_nnz=expected_tile_nnz,
-                counters=counters,
-                cell_guard=dense_cell_guard,
-                trace=trace,
-                backend=backend,
-            )
-            builder = COOBuilder(chunk_rows=builder_chunk_rows)
-            local.acc = acc
-            local.builder = builder
-            with builders_lock:
-                all_builders.append(builder)
-        return local.acc, local.builder
-
-    def make_task(i: int, j: int):
-        hl_i = hl.tables[i]
-        hr_j = hr.tables[j]
-
-        def task() -> None:
-            acc, builder = get_state()
-            acc.reset()
-            # Co-iteration: scan HL_i's own keys, hash-probe HR_j.
-            found, starts_r, counts_r = hr_j.query_batch(
-                hl_i.keys(), counters=counters
-            )
-            if not found.any():
-                return
-            starts_l, counts_l = hl_i.spans_for_all_keys()
-            g_sl, g_cl, g_sr, g_cr = (
-                a[found] for a in (starts_l, counts_l, starts_r, counts_r)
-            )
-            counters.data_volume += int(g_cl.sum() + g_cr.sum())
-
-            idx_l_payload, vals_l = hl_i.payload
-            idx_r_payload, vals_r = hr_j.payload
-
-            # Expand matched outer products in bounded chunks of groups,
-            # gathering left payload once per left element and repeating
-            # it across its group's right slice.
-            cum = np.cumsum(g_cl * g_cr)
-            lo = 0
-            while lo < cum.shape[0]:
-                base = int(cum[lo - 1]) if lo else 0
-                hi = int(np.searchsorted(cum, base + chunk_pairs, side="right"))
-                hi = max(hi, lo + 1)
-                elems_l, reps, ib = grouped_pairs(
-                    g_sl[lo:hi], g_cl[lo:hi], g_sr[lo:hi], g_cr[lo:hi]
-                )
-                pos_l = backend.gather(idx_l_payload, elems_l) * tile_r_np
-                positions = np.repeat(pos_l, reps) + backend.gather(idx_r_payload, ib)
-                vals = backend.multiply(
-                    np.repeat(backend.gather(vals_l, elems_l), reps),
-                    backend.gather(vals_r, ib),
-                )
-                acc.update_batch(positions, vals)
-                lo = hi
-
-            # Drain: intra-tile positions back to global output indices.
-            positions, values = acc.drain()
-            if positions.shape[0]:
-                rows = positions // tile_r_np
-                l_global = np.int64(i) * tile_l + rows
-                r_global = positions - (rows * tile_r_np - np.int64(j) * tile_r)
-                builder.append_batch(l_global, r_global, values)
-                counters.output_nnz += positions.shape[0]
-
-        return task
-
     nonempty_l = hl.nonempty_tiles()
     nonempty_r = hr.nonempty_tiles()
     n_pairs = len(nonempty_l) * len(nonempty_r)
@@ -378,28 +293,116 @@ def tiled_co_contract(
             "configuration is the paper's DNF regime — use a sparse "
             "accumulator (larger tiles) instead"
         )
-    pairs_order = [(i, j) for i in nonempty_l for j in nonempty_r]
-    if schedule == "heavy_first" and len(pairs_order) > 1:
-        # Estimated tile cost: product of the two tables' nonzero counts
-        # (the outer-product upper bound).  Descending order = LPT.
-        weights = np.array(
-            [hl.tables[i].nnz * hr.tables[j].nnz for i, j in pairs_order],
-            dtype=np.int64,
-        )
-        pairs_order = [pairs_order[k] for k in np.argsort(-weights, kind="stable")]
-    tasks = [make_task(i, j) for i, j in pairs_order]
-    counters.tasks += len(tasks)
-    stats.num_tasks = len(tasks)
-    stats.task_pairs = pairs_order
+    # Heavy-first (LPT) pair order by the outer-product bound nnz(HL_i) *
+    # nnz(HR_j); rank[a, b] places pair (nonempty_l[a], nonempty_r[b]).
+    nnz_l = np.array([hl.tables[i].nnz for i in nonempty_l], dtype=np.int64)
+    nnz_r = np.array([hr.tables[j].nnz for j in nonempty_r], dtype=np.int64)
+    lpt = np.argsort(-np.multiply.outer(nnz_l, nnz_r).ravel(), kind="stable")
+    rank = np.argsort(lpt).reshape(len(nonempty_l), len(nonempty_r))
+    col_of = dict(zip(nonempty_r, range(len(nonempty_r))))
+    grid = [(i, j) for i in nonempty_l for j in nonempty_r]
+    stats.task_pairs = [grid[k] for k in lpt.tolist()]
+    stats.num_tasks = n_pairs
+    counters.tasks += n_pairs
+    costs = stats.task_costs = np.zeros(n_pairs, dtype=np.float64)
+    blocks: list = [None] * n_pairs
 
+    if len(nonempty_r) == 1:  # the join needs no split by right tile
+        r_keys, r_offsets = hr.tables[nonempty_r[0]].keys(), None
+        r_starts, r_counts = hr.tables[nonempty_r[0]].spans_for_all_keys()
+    elif nonempty_r:
+        r_keys, r_offsets, r_tiles, r_starts, r_counts = hr.key_index()
+
+    expected_tile_nnz = max(8, int(plan.est_output_density * tile_l * tile_r) + 1)
+    tile_r_np = np.int64(tile_r)
+    local = threading.local()  # one accumulator per worker
+
+    def contract_pair(acc, i, j, g_sl, g_cl, g_sr, g_cr):
+        """Co-iterate, accumulate and drain one tile pair's matches."""
+        acc.reset()
+        counters.data_volume += int(g_cl.sum() + g_cr.sum())
+        idx_l_payload, vals_l = hl.tables[i].payload
+        idx_r_payload, vals_r = hr.tables[j].payload
+
+        # Expand matched outer products in bounded chunks of groups,
+        # gathering left payload once per left element and repeating
+        # it across its group's right slice.
+        cum = np.cumsum(g_cl * g_cr)
+        lo = 0
+        while lo < cum.shape[0]:
+            base = int(cum[lo - 1]) if lo else 0
+            hi = int(np.searchsorted(cum, base + chunk_pairs, side="right"))
+            hi = max(hi, lo + 1)
+            elems_l, reps, ib = grouped_pairs(
+                g_sl[lo:hi], g_cl[lo:hi], g_sr[lo:hi], g_cr[lo:hi]
+            )
+            pos_l = backend.gather(idx_l_payload, elems_l) * tile_r_np
+            positions = np.repeat(pos_l, reps) + backend.gather(idx_r_payload, ib)
+            vals = backend.multiply(
+                np.repeat(backend.gather(vals_l, elems_l), reps),
+                backend.gather(vals_r, ib),
+            )
+            acc.update_batch(positions, vals)
+            lo = hi
+
+        # Drain: intra-tile positions back to global output indices.
+        positions, values = acc.drain()
+        if not positions.shape[0]:
+            return None
+        counters.output_nnz += positions.shape[0]
+        rows = positions // tile_r_np
+        l_global = np.int64(i) * tile_l + rows
+        r_global = positions - (rows * tile_r_np - np.int64(j) * tile_r)
+        return l_global, r_global, values
+
+    def run_row(a: int) -> None:
+        """Row task: join HL_i's keys once, then run each of its pairs."""
+        i, ranks = nonempty_l[a], rank[a]
+        t0 = time.perf_counter()
+        acc = getattr(local, "acc", None)
+        if acc is None:
+            acc = local.acc = make_accumulator(
+                plan.accumulator, tile_l, tile_r,
+                expected_nnz=expected_tile_nnz, counters=counters,
+                cell_guard=dense_cell_guard, trace=trace, backend=backend,
+            )
+        keys = hl.tables[i].keys()
+        starts_l, counts_l = hl.tables[i].spans_for_all_keys()
+        counters.hash_queries += keys.shape[0]
+        _, src, entry = match_sorted_keys(keys, r_keys)
+        if r_offsets is None:
+            tiles, cuts = (nonempty_r if src.shape[0] else []), (0, src.shape[0])
+        else:
+            lo = r_offsets[entry]
+            n = r_offsets[entry + 1] - lo
+            entry, src = concat_ranges(lo, n), np.repeat(src, n)
+            # A stable split by tile keeps each pair's keys ascending.
+            by_tile = np.argsort(r_tiles[entry], kind="stable")
+            entry, src = entry[by_tile], src[by_tile]
+            tiles, cuts = group_boundaries(r_tiles[entry])
+        spans = (starts_l[src], counts_l[src], r_starts[entry], r_counts[entry])
+        # The row's join is charged to its pairs in equal shares.
+        costs[ranks] = (time.perf_counter() - t0) / ranks.shape[0]
+        for k in range(len(tiles)):  # staticcheck: ignore[FSTC101] per right tile
+            t0 = time.perf_counter()
+            j = int(tiles[k])
+            slot = ranks[col_of[j]]
+            blocks[slot] = contract_pair(
+                acc, i, j, *(x[cuts[k] : cuts[k + 1]] for x in spans)
+            )
+            costs[slot] += time.perf_counter() - t0
+
+    rows = np.argsort(-nnz_l, kind="stable") if nonempty_r else []
     t0 = time.perf_counter()
-    records = TaskQueue(n_workers).run(tasks)
+    TaskQueue(n_workers).run([partial(run_row, int(a)) for a in rows])
     stats.phase_seconds["contract"] = time.perf_counter() - t0
-    stats.task_costs = np.array([r.cost for r in records], dtype=np.float64)
 
-    # Step 4 epilogue: the master concatenates the thread-local lists.
+    # Step 4 epilogue: the master concatenates the pairs' blocks in
+    # heavy-first order, whichever worker produced them.
     t0 = time.perf_counter()
-    l_idx, r_idx, values = COOBuilder.merge(all_builders)
+    empty = [np.empty(0, dtype) for dtype in (INDEX_DTYPE, INDEX_DTYPE, VALUE_DTYPE)]
+    parts = [b for b in blocks if b is not None]
+    l_idx, r_idx, values = (np.concatenate(col) for col in zip(empty, *parts))
     stats.phase_seconds["merge_output"] = time.perf_counter() - t0
     stats.output_nnz = int(values.shape[0])
     return l_idx, r_idx, values, stats

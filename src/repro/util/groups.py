@@ -21,6 +21,7 @@ from repro.util.arrays import INDEX_DTYPE
 __all__ = [
     "group_boundaries",
     "match_sorted_keys",
+    "concat_ranges",
     "grouped_pairs",
     "grouped_cartesian",
     "segment_sum",
@@ -54,15 +55,18 @@ def match_sorted_keys(
     Returns ``(common, idx_a, idx_b)`` such that
     ``keys_a[idx_a] == keys_b[idx_b] == common``.  This is the key
     intersection step of the CO scheme: finding contraction indices ``c``
-    present in both input slices.
+    present in both input slices.  One binary search into ``keys_b`` per
+    key of ``keys_a``.
     """
-    common, idx_a, idx_b = np.intersect1d(
-        keys_a, keys_b, assume_unique=True, return_indices=True
-    )
-    return common, idx_a.astype(INDEX_DTYPE), idx_b.astype(INDEX_DTYPE)
+    keys_a, keys_b = np.asarray(keys_a), np.asarray(keys_b)
+    if keys_b.shape[0] == 0:
+        return keys_a[:0], np.zeros(0, INDEX_DTYPE), np.zeros(0, INDEX_DTYPE)
+    pos = np.minimum(np.searchsorted(keys_b, keys_a), keys_b.shape[0] - 1)
+    idx_a = np.flatnonzero(keys_b[pos] == keys_a).astype(INDEX_DTYPE)
+    return keys_a[idx_a], idx_a, pos[idx_a].astype(INDEX_DTYPE)
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges ``[starts[g], starts[g] + counts[g])`` back to back."""
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
@@ -93,8 +97,8 @@ def grouped_pairs(
         raise ValueError("group descriptor arrays must have identical shapes")
     reps = np.repeat(counts_b, counts_a)
     # Every a element's block of pairs is its group's b range.
-    idx_b = _concat_ranges(np.repeat(starts_b, counts_a), reps)
-    return _concat_ranges(starts_a, counts_a), reps, idx_b
+    idx_b = concat_ranges(np.repeat(starts_b, counts_a), reps)
+    return concat_ranges(starts_a, counts_a), reps, idx_b
 
 
 def grouped_cartesian(

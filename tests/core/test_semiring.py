@@ -115,6 +115,15 @@ def test_empty_inputs():
     assert out.nnz == 0
 
 
+def test_one_hash_query_per_left_key():
+    from repro.analysis.counters import Counters
+
+    a = random_coo((30, 30), nnz=100, seed=1)
+    c = Counters()
+    semiring_contract(a, a, [(1, 0)], semiring=MIN_PLUS, counters=c)
+    assert c.hash_queries == np.unique(a.coords[1]).shape[0]
+
+
 def test_custom_semiring():
     # (+, min): a legitimate exotic combination.
     custom = Semiring("plus_min", np.add, np.minimum, 0.0)

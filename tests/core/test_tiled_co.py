@@ -211,26 +211,11 @@ class TestKernelInstrumentation:
 
 
 class TestTaskScheduling:
-    def test_schedules_agree_numerically(self, operand_pair):
-        left, right = operand_pair
-        plan = plan_for(left, right, tile_size=8)
-        fifo = tiled_co_contract(left, right, plan, schedule="fifo")
-        heavy = tiled_co_contract(left, right, plan, schedule="heavy_first")
-        a = triples_to_dense(*fifo[:3], left.ext_extent, right.ext_extent)
-        b = triples_to_dense(*heavy[:3], left.ext_extent, right.ext_extent)
-        np.testing.assert_allclose(a, b, rtol=1e-10)
-
-    def test_bad_schedule_rejected(self, operand_pair):
-        left, right = operand_pair
-        plan = plan_for(left, right, tile_size=8)
-        with pytest.raises(ValueError):
-            tiled_co_contract(left, right, plan, schedule="random")
-
     def test_heavy_first_dispatch_order(self):
-        """heavy_first must dispatch tile pairs in non-increasing order
-        of their estimated weight (nnz(HL_i) * nnz(HR_j)) — the LPT
-        mechanism, checked deterministically via the recorded pair
-        order (wall-clock task costs are too noisy to assert on)."""
+        """Tile pairs are ordered by non-increasing estimated weight
+        (nnz(HL_i) * nnz(HR_j)) — the LPT mechanism, checked
+        deterministically via the recorded pair order (wall-clock task
+        costs are too noisy to assert on)."""
         from repro.data.random_tensors import clustered_coo
         from repro.core.plan import ContractionSpec
         from repro.core.tiled_co import build_tiled_tables
@@ -241,9 +226,7 @@ class TestTaskScheduling:
         left = spec.linearize_left(t).sum_duplicates()
         right = spec.linearize_right(t).sum_duplicates()
         plan = plan_for(left, right, tile_size=64)
-        _, _, _, stats = tiled_co_contract(
-            left, right, plan, schedule="heavy_first"
-        )
+        _, _, _, stats = tiled_co_contract(left, right, plan)
         hl = build_tiled_tables(left, plan.tile_l)
         hr = build_tiled_tables(right, plan.tile_r)
         weights = [
@@ -253,8 +236,93 @@ class TestTaskScheduling:
         # And a few distinct weights actually exist (clustered input).
         assert len(set(weights)) > 1
 
-        # FIFO keeps grid order instead.
-        _, _, _, fifo_stats = tiled_co_contract(
-            left, right, plan, schedule="fifo"
+
+
+class TestRowTasks:
+    """One task per nonempty left tile, joined once against the right index."""
+
+    @pytest.fixture
+    def grid(self):
+        left, right = random_operand_pair(
+            96, 40, 80, density_l=0.06, density_r=0.08, seed=12
         )
-        assert fifo_stats.task_pairs == sorted(fifo_stats.task_pairs)
+        return left, right, plan_for(left, right, tile_size=16)
+
+    def test_one_query_per_left_key_per_row(self, grid):
+        left, right, plan = grid
+        hl = build_tiled_tables(left, plan.tile_l)
+        hr = build_tiled_tables(right, plan.tile_r)
+        assert len(hl.nonempty_tiles()) > 1 and len(hr.nonempty_tiles()) > 1
+        c = Counters()
+        tiled_co_contract(left, right, plan, counters=c)
+        assert c.hash_queries == sum(
+            hl.tables[i].num_keys for i in hl.nonempty_tiles()
+        )
+
+    def test_output_bytes_independent_of_workers(self, grid):
+        import sys
+
+        left, right, plan = grid
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving between row tasks
+        try:
+            runs = [
+                tiled_co_contract(left, right, plan, n_workers=w)[:3]
+                for w in (1, 2, 4)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_per_pair_costs_fit_the_contract_phase(self, grid):
+        left, right, plan = grid
+        _, _, _, stats = tiled_co_contract(left, right, plan)
+        assert stats.num_tasks > 1
+        assert stats.task_costs.shape[0] == stats.num_tasks == len(stats.task_pairs)
+        assert (stats.task_costs > 0).all()
+        assert stats.task_costs.sum() <= stats.phase_seconds["contract"]
+
+    def test_prebuilt_tables_build_the_right_index_once(self, grid):
+        from repro.core.tiled_co import build_tiled_tables_pair
+
+        left, right, plan = grid
+        hl, hr = build_tiled_tables_pair(left, right, plan.tile_l, plan.tile_r)
+        first = tiled_co_contract(left, right, plan, tables=(hl, hr))
+        index = hr._key_index
+        assert index is not None
+        second = tiled_co_contract(left, right, plan, tables=(hl, hr))
+        assert hr._key_index is index
+        for got, want in zip(second[:3], first[:3]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_key_index_matches_the_tiles(self, grid):
+        _, right, plan = grid
+        hr = build_tiled_tables(right, plan.tile_r)
+        keys, offsets, tiles, starts, counts = hr.key_index()
+        assert (np.diff(keys) > 0).all()
+        assert offsets[-1] == sum(hr.tables[j].num_keys for j in hr.nonempty_tiles())
+        for g, c in enumerate(keys.tolist()):
+            lo, hi = offsets[g], offsets[g + 1]
+            assert (np.diff(tiles[lo:hi].astype(np.int64)) > 0).all()
+            for j, s, n in zip(tiles[lo:hi], starts[lo:hi], counts[lo:hi]):
+                t = hr.tables[int(j)]
+                k = int(np.searchsorted(t.keys(), c))
+                assert t.keys()[k] == c
+                span_s, span_n = t.spans_for_all_keys()
+                assert (span_s[k], span_n[k]) == (s, n)
+
+    def test_empty_right_operand_emits_nothing(self):
+        left, right = random_operand_pair(
+            40, 20, 30, density_l=0.1, density_r=0.1, seed=4
+        )
+        right.ext, right.con, right.values = (
+            right.ext[:0], right.con[:0], right.values[:0]
+        )
+        plan = plan_for(left, right, tile_size=8)
+        c = Counters()
+        l, r, v, stats = tiled_co_contract(left, right, plan, counters=c)
+        assert l.size == r.size == v.size == 0
+        assert stats.num_tasks == 0 and c.hash_queries == 0

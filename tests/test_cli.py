@@ -114,6 +114,30 @@ class TestCommands:
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
+class TestNetworkCommand:
+    """``network --explain``/``--json`` print the annotated plan it runs."""
+
+    ARGV = ["network", "ij,jk,kl->il", "--shapes", "20x20,20x20,20x20",
+            "--nnz", "40,0,40", "--explain"]
+
+    def test_explain_marks_dead_steps(self, capsys):
+        assert main(self.ARGV) == 0
+        steps = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.strip().startswith("step ")]
+        assert len(steps) == 2
+        assert all("dead" in ln for ln in steps)
+
+    def test_json_marks_dead_steps(self, capsys):
+        assert main(self.ARGV + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["dead"] for s in doc["steps"]] == [True, True]
+
+    def test_passes_none_prints_the_bare_plan(self, capsys):
+        assert main(self.ARGV + ["--json", "--passes", "none"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert not any(s["dead"] for s in doc["steps"])
+
+
 class TestBatchCommand:
     def test_two_step_pipeline_reports_cache_hits(self, capsys):
         """A repeated registry step must hit the plan cache and reuse

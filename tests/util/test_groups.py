@@ -51,6 +51,10 @@ class TestMatchSortedKeys:
         common, _, _ = match_sorted_keys(np.array([]), np.array([1, 2]))
         assert common.size == 0
 
+    def test_empty_right(self):
+        common, ia, ib = match_sorted_keys(np.array([1, 2]), np.array([]))
+        assert common.size == ia.size == ib.size == 0
+
 
 class TestGroupedCartesian:
     def test_single_group(self):
