@@ -36,7 +36,6 @@ HARNESSES = [
     "bench_ablation_network",
     "bench_network_paths",
     "bench_network_passes",
-    "bench_ablation_pool",
     "bench_model_accuracy",
     "bench_format_memory",
     "bench_validation_matrix",

@@ -4,9 +4,9 @@ FaSTCC: Fast Sparse Tensor Contractions on CPUs.  This package
 implements the paper's 2-D tiled contraction-index-outer contraction
 scheme with model-selected dense/sparse tile accumulators, every
 substrate it depends on (COO/CSF formats, open-addressing and chaining
-hash tables, a dynamic task queue, memory-pooled COO output), the
-TACO-style and Sparta-style baselines it is evaluated against, and the
-workload generators and machine models behind the paper's evaluation.
+hash tables, a dynamic task queue), the TACO-style and Sparta-style
+baselines it is evaluated against, and the workload generators and
+machine models behind the paper's evaluation.
 
 Quick start::
 

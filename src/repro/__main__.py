@@ -9,7 +9,9 @@ Subcommands
     method and print the plan, timings and counters.
 ``plan``
     Evaluate Algorithm 7 for explicit problem parameters without
-    running anything — the paper's Table 3 calculation as a calculator.
+    running anything — the paper's Table 3 calculation as a calculator,
+    with the guard verdict the kernel would give (``dnf`` for the NIPS
+    mode-2 dense entry).
 ``contract FILE_A FILE_B``
     Contract two FROSTT ``.tns`` files over given mode pairs and write
     the result as ``.tns``.
@@ -18,22 +20,13 @@ Subcommands
     (``repro.runtime``): plans are cached by structural signature,
     tiled tables are reused across steps sharing an operand, and the
     aggregate hit-rate/speedup metrics are printed at the end.
-``check``
-    Static analysis (:mod:`repro.staticcheck`) without running any
-    kernel.  The default audits every registry case under both paper
-    machines and all three Table 3 accumulator columns, reporting
-    predicted guard outcomes (the NIPS mode-2 dense DNF appears as
-    ``FSTC010``); ``--expr``/``--shapes`` lints one einsum request;
-    ``--self`` AST-lints the ``repro`` source tree and audits the FSTC
-    code registry against its docs.  Exit status is 1 when any
-    error-severity finding is reported.
 ``network EXPR``
     Plan a multi-operand tensor-network contraction through
     :mod:`repro.network` — ``--explain`` prints the chosen path, per-step
-    subscripts, predicted nnz/cost and accumulator choices without
-    executing; without it, random operands are drawn at the declared
-    shapes/nnz and the plan runs through the network executor
-    (``--repeat`` shows the warm plan-cache path).
+    subscripts, predicted nnz/cost, accumulator choices and guard
+    verdicts without executing; without it, random operands are drawn
+    at the declared shapes/nnz and the plan runs through the network
+    executor (``--repeat`` shows the warm plan-cache path).
 ``serve``
     Run a load generator against a live :mod:`repro.serve`
     :class:`~repro.serve.ContractionService`: a mixed-signature
@@ -117,12 +110,30 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.core.model import choose_accumulator
+    from repro.core.guards import plan_guard
+    from repro.core.model import choose_accumulator, choose_plan
+    from repro.core.plan import ContractionSpec
     from repro.machine.specs import DESKTOP, SERVER
+    from repro.util.arrays import ceil_div
 
     machine = SERVER if args.machine == "server" else DESKTOP
+    if min(args.L, args.R, args.C) < 1 or not (
+        0 <= args.nnz_l <= args.L * args.C and 0 <= args.nnz_r <= args.C * args.R
+    ):
+        print("plan needs --L/--R/--C >= 1, 0 <= --nnz-l <= L*C and "
+              "0 <= --nnz-r <= C*R", file=sys.stderr)
+        return 2
     choice = choose_accumulator(
         args.L, args.R, args.C, args.nnz_l, args.nnz_r, machine
+    )
+    # The planner only consumes L, R and C, so matrix form loses nothing.
+    plan = choose_plan(
+        ContractionSpec((args.L, args.C), (args.C, args.R), [(1, 0)]),
+        args.nnz_l, args.nnz_r, machine,
+    )
+    guard = plan_guard(
+        plan.accumulator, args.L, args.R, plan.tile_l, plan.tile_r,
+        args.nnz_l, args.nnz_r,
     )
     print(f"Algorithm 7 on {machine.name}:")
     print(f"  p_L = {choice.p_l:.4e}, p_R = {choice.p_r:.4e}")
@@ -131,6 +142,10 @@ def _cmd_plan(args) -> int:
           f"(probe tile T = {choice.dense_probe_tile})")
     print(f"  decision: {choice.accumulator} accumulator, "
           f"tile size {choice.tile_size}")
+    print(f"  guard verdict: {guard.verdict} (grid "
+          f"{ceil_div(args.L, plan.tile_l)}x{ceil_div(args.R, plan.tile_r)}, "
+          f"<= {guard.tasks} tasks)"
+          + (f": {guard.reason}" if guard.reason else ""))
     return 0
 
 
@@ -261,160 +276,6 @@ def _parse_shapes(text: str) -> list[tuple[int, ...]]:
         tuple(int(d) for d in token.split("x"))
         for token in text.split(",") if token
     ]
-
-
-#: Hazard analysis materializes the occupied tile-pair list; past this
-#: many *potential* pairs we only report the guard verdict (which the
-#: plan lint already covers) instead of enumerating millions of tasks.
-_HAZARD_PAIR_LIMIT = 1 << 18
-
-
-def _emit_diagnostics(args, diags, extra: dict | None = None) -> int:
-    """Print findings (text or ``--json``) and return the exit status."""
-    from repro.staticcheck import (
-        diagnostics_to_json,
-        max_exit_status,
-        render_diagnostics,
-    )
-
-    if getattr(args, "json", False):
-        import json
-
-        doc = diagnostics_to_json(diags)
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, indent=2))
-    elif diags:
-        print(render_diagnostics(diags))
-    else:
-        print("no findings")
-    return max_exit_status(diags)
-
-
-def _cmd_check(args) -> int:
-    from repro.staticcheck import lint_expression
-
-    if args.self_check:
-        from repro.staticcheck import audit_code_registry, lint_tree
-
-        diags = list(lint_tree())
-        # The FSTC catalogue itself is part of the checked surface: the
-        # registry and docs/staticcheck.md must agree code-for-code.
-        diags.extend(audit_code_registry())
-        return _emit_diagnostics(args, diags)
-
-    if args.expr is not None:
-        from repro.machine.specs import DESKTOP, SERVER
-
-        if args.shapes is None:
-            print("check --expr requires --shapes", file=sys.stderr)
-            return 2
-        machine = SERVER if args.machine == "server" else DESKTOP
-        nnz = (
-            [int(n) for n in args.nnz.split(",")] if args.nnz else None
-        )
-        report = lint_expression(
-            args.expr, _parse_shapes(args.shapes),
-            nnz=nnz, machine=machine,
-            accumulator=(
-                "auto" if args.accumulator == "all" else args.accumulator
-            ),
-            tile_size=args.tile,
-            dtypes=args.dtypes.split(",") if args.dtypes else None,
-            location=f"expr {args.expr!r}",
-        )
-        if not args.json:
-            if report.prediction is not None:
-                p = report.prediction
-                print(f"predicted plan on {machine.name}: {p.accumulator} "
-                      f"accumulator, tile {p.tile_l}x{p.tile_r}, grid "
-                      f"{p.grid_l}x{p.grid_r} "
-                      f"(<= {p.est_nonempty_pairs} tasks)")
-            print(f"verdict: {report.verdict}")
-        return _emit_diagnostics(
-            args, report.diagnostics, extra={"verdict": report.verdict}
-        )
-
-    return _check_audit(args)
-
-
-def _check_audit(args) -> int:
-    """Registry-wide static audit (the Table 3 reproduction)."""
-    from repro.staticcheck import audit_registry
-    from repro.staticcheck.audit import occupied_tile_pairs
-    from repro.staticcheck.graph_lint import (
-        analyze_task_graph,
-        write_sets_for_pairs,
-    )
-
-    machines = (
-        ("desktop", "server") if args.machine == "both" else (args.machine,)
-    )
-    accumulators = (
-        ("auto", "dense", "sparse") if args.accumulator == "all"
-        else (args.accumulator,)
-    )
-    audits = audit_registry(
-        cases=args.cases or None,
-        machines=machines, accumulators=accumulators,
-    )
-
-    diags = []
-    verdicts = {}
-    header = f"{'case':<12}" + "".join(
-        f"{m}/{a:<8}" for m in machines for a in accumulators
-    )
-    if not args.json:
-        print(header)
-    for audit in audits:
-        cells = []
-        for m in machines:
-            for a in accumulators:
-                v = audit.verdict(m, a)
-                verdicts[f"{audit.case}/{m}/{a}"] = v
-                cells.append("DNF" if v == "dnf" else v)
-        if not args.json:
-            print(f"{audit.case:<12}" + "".join(f"{c:<{len(m) + 9}}"
-                  for c, m in zip(cells, [m for m in machines
-                                          for _ in accumulators])))
-        diags.extend(audit.diagnostics)
-        if args.hazards:
-            diags.extend(_audit_hazards(
-                audit, machines, analyze_task_graph,
-                write_sets_for_pairs, occupied_tile_pairs,
-                n_workers=args.workers,
-            ))
-
-    if not args.json:
-        print()
-    return _emit_diagnostics(args, diags, extra={"verdicts": verdicts})
-
-
-def _audit_hazards(
-    audit, machines, analyze_task_graph, write_sets_for_pairs,
-    occupied_tile_pairs, *, n_workers,
-):
-    """Hazard-check each machine's chosen (auto) dispatch list."""
-    out = []
-    for m in machines:
-        report = audit.reports.get((m, "auto"))
-        if report is None or report.prediction is None:
-            continue
-        p = report.prediction
-        if p.est_nonempty_pairs > _HAZARD_PAIR_LIMIT:
-            print(f"  [{audit.case}/{m}] skipping hazard enumeration: "
-                  f"up to {p.est_nonempty_pairs} pairs (> "
-                  f"{_HAZARD_PAIR_LIMIT}); guard verdicts above still apply")
-            continue
-        pairs = occupied_tile_pairs(audit.problem, p.tile_l, p.tile_r)
-        found = analyze_task_graph(
-            write_sets_for_pairs(pairs), n_workers=n_workers
-        )
-        out.extend(
-            d.with_location(f"case {audit.case} [{m}] {d.location}")
-            for d in found
-        )
-    return out
 
 
 def _serve_backend(args, machine, config):
@@ -644,37 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip cost-model calibration")
     _add_backend_flag(batch)
 
-    check = sub.add_parser(
-        "check", help="static analysis: audit cases, lint an expression, "
-                      "or lint the source tree"
-    )
-    check.add_argument("cases", nargs="*",
-                       help="registry cases to audit (default: all)")
-    check.add_argument("--machine", default="both",
-                       choices=["desktop", "server", "both"])
-    check.add_argument("--accumulator", default="all",
-                       choices=["auto", "dense", "sparse", "all"])
-    check.add_argument("--hazards", action="store_true",
-                       help="also hazard-check each case's tile-task "
-                            "write sets")
-    check.add_argument("--workers", type=int, default=1,
-                       help="worker count assumed by the hazard analysis")
-    check.add_argument("--expr", default=None,
-                       help="einsum subscripts to lint (e.g. 'ij,jk->ik')")
-    check.add_argument("--shapes", default=None,
-                       help="per-operand shapes, e.g. '100x200,200x50'")
-    check.add_argument("--nnz", default=None,
-                       help="per-operand nonzero counts, e.g. '1000,2000'")
-    check.add_argument("--dtypes", default=None,
-                       help="per-operand dtypes, e.g. 'float64,float64'")
-    check.add_argument("--tile", type=int, default=None,
-                       help="tile-size override to lint")
-    check.add_argument("--self", dest="self_check", action="store_true",
-                       help="AST-lint the repro source tree")
-    check.add_argument("--json", action="store_true",
-                       help="machine-readable findings (code, severity, "
-                            "location, message) instead of text")
-
     net = sub.add_parser(
         "network", help="plan (and optionally execute) a multi-operand "
                         "tensor-network contraction"
@@ -790,7 +620,6 @@ def main(argv=None) -> int:
         "plan": _cmd_plan,
         "contract": _cmd_contract,
         "batch": _cmd_batch,
-        "check": _cmd_check,
         "network": _cmd_network,
         "serve": _cmd_serve,
         "autotune": _cmd_autotune,

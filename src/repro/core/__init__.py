@@ -6,6 +6,8 @@
   and tile-size model (Section 5, Algorithm 7).
 * :mod:`repro.core.accumulators` — dense and sparse output tiles
   (Section 4.2).
+* :mod:`repro.core.guards` — the task and dense-cell guards behind
+  Table 3's DNF, and the verdict plans report before running.
 * :mod:`repro.core.tiled_co` — the 2-D tiled contraction-index-outer
   kernel (Algorithms 5/6).
 * :mod:`repro.core.contraction` — the public ``contract`` /
@@ -15,6 +17,7 @@
 from repro.core.contraction import contract, self_contract
 from repro.core.einsum import contraction_path, einsum
 from repro.core.expression import contract_expression
+from repro.core.guards import GuardVerdict, guard_verdict, plan_guard
 from repro.core.model import AccumulatorChoice, choose_plan
 from repro.core.plan import ContractionSpec, LinearizedOperand, Plan
 from repro.core.semiring import Semiring, semiring_contract
@@ -32,4 +35,7 @@ __all__ = [
     "Plan",
     "AccumulatorChoice",
     "choose_plan",
+    "GuardVerdict",
+    "guard_verdict",
+    "plan_guard",
 ]

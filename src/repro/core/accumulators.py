@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.analysis.counters import Counters, ensure_counters
 from repro.backends.base import KernelBackend
-from repro.errors import ConfigError, ShapeError, WorkspaceLimitError
+from repro.core.guards import DEFAULT_DENSE_CELL_GUARD, guard_verdict
+from repro.errors import ConfigError, ShapeError
 from repro.hashing.open_addressing import OpenAddressingMap
 from repro.util.arrays import INDEX_DTYPE, VALUE_DTYPE
 from repro.util.groups import group_boundaries
@@ -43,10 +44,6 @@ __all__ = [
     "make_accumulator",
     "DEFAULT_DENSE_CELL_GUARD",
 ]
-
-#: Refuse dense tiles above this cell count; reproduces the paper's DNF
-#: entries (Table 3, NIPS mode 2) as a clean error instead of thrashing.
-DEFAULT_DENSE_CELL_GUARD = 1 << 26
 
 
 class DenseTileAccumulator:
@@ -74,12 +71,7 @@ class DenseTileAccumulator:
         backend: KernelBackend | None = None,
     ):
         cells = int(tile_l) * int(tile_r)
-        if cells > cell_guard:
-            raise WorkspaceLimitError(
-                f"dense tile of {tile_l}x{tile_r} = {cells} cells exceeds the "
-                f"memory guard ({cell_guard}); the model should have chosen a "
-                "sparse accumulator"
-            )
+        guard_verdict("dense", tile_l, tile_r, cell_guard=cell_guard).enforce()
         if bitmask not in ("bool", "packed"):
             raise ConfigError(f"bitmask must be bool|packed, got {bitmask!r}")
         self.tile_l = int(tile_l)

@@ -34,9 +34,14 @@ import numpy as np
 from repro.analysis.counters import Counters, ensure_counters
 from repro.backends.base import KernelBackend
 from repro.backends.registry import resolve_backend
-from repro.core.accumulators import DEFAULT_DENSE_CELL_GUARD, make_accumulator
+from repro.core.accumulators import make_accumulator
+from repro.core.guards import (
+    DEFAULT_DENSE_CELL_GUARD,
+    DEFAULT_MAX_TASKS,
+    guard_verdict,
+)
 from repro.core.plan import LinearizedOperand, Plan
-from repro.errors import ConfigError, PlanError, ShapeError, WorkspaceLimitError
+from repro.errors import ConfigError, PlanError, ShapeError
 from repro.hashing.slice_table import SliceTable
 from repro.parallel.taskqueue import TaskQueue
 from repro.util.arrays import INDEX_DTYPE, VALUE_DTYPE, ceil_div
@@ -57,12 +62,6 @@ __all__ = [
 
 #: Upper bound on the outer-product expansion processed per chunk.
 DEFAULT_CHUNK_PAIRS = 1 << 21
-
-#: Upper bound on the number of tile-pair tasks.  A dense accumulator
-#: forced onto an ultra-sparse output explodes the tile grid (the paper's
-#: Table 3 reports DNF for NIPS mode 2 in exactly this configuration);
-#: the guard turns that into a clean WorkspaceLimitError.
-DEFAULT_MAX_TASKS = 1 << 21
 
 
 class TiledTables:
@@ -286,13 +285,10 @@ def tiled_co_contract(
     nonempty_l = hl.nonempty_tiles()
     nonempty_r = hr.nonempty_tiles()
     n_pairs = len(nonempty_l) * len(nonempty_r)
-    if n_pairs > max_tasks:
-        raise WorkspaceLimitError(
-            f"tile grid of {len(nonempty_l)}x{len(nonempty_r)} nonempty tiles "
-            f"({n_pairs} tasks) exceeds the task guard ({max_tasks}); this "
-            "configuration is the paper's DNF regime — use a sparse "
-            "accumulator (larger tiles) instead"
-        )
+    guard_verdict(
+        plan.accumulator, tile_l, tile_r, len(nonempty_l), len(nonempty_r),
+        max_tasks=max_tasks, cell_guard=dense_cell_guard,
+    ).enforce()
     # Heavy-first (LPT) pair order by the outer-product bound nnz(HL_i) *
     # nnz(HR_j); rank[a, b] places pair (nonempty_l[a], nonempty_r[b]).
     nnz_l = np.array([hl.tables[i].nnz for i in nonempty_l], dtype=np.int64)

@@ -18,9 +18,9 @@ __all__ = [
     "ConfigError",
     "WorkspaceLimitError",
     "SchedulerError",
-    "StaticCheckError",
     "BackendError",
     "StreamError",
+    "ConfigWarning",
 ]
 
 
@@ -67,15 +67,6 @@ class SchedulerError(ReproError, RuntimeError):
     """The task queue or scheduling simulator was misused."""
 
 
-class StaticCheckError(ReproError, ValueError):
-    """The :mod:`repro.staticcheck` API itself was misused.
-
-    Raised for malformed checker *inputs* (unknown diagnostic codes,
-    unparsable lint targets) — never for findings, which are reported as
-    :class:`repro.staticcheck.Diagnostic` records instead.
-    """
-
-
 class BackendError(ReproError, RuntimeError):
     """A kernel backend is unknown or unavailable on this host.
 
@@ -91,4 +82,13 @@ class StreamError(ReproError, RuntimeError):
 
     Covers unknown or doubly registered stream names and deltas
     applied to tensors they were not built for.
+    """
+
+
+class ConfigWarning(UserWarning):
+    """A configuration is accepted but will misbehave where it runs.
+
+    Emitted with :func:`warnings.warn` when a serving config is built;
+    the message starts with its ``FSTC`` code (``"FSTC303: ..."``), as
+    the refusals raised with :class:`ConfigError` do.
     """

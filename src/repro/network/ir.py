@@ -7,7 +7,7 @@ declared nonzero counts, connectivity, which indices are contracted
 versus kept versus summed out — lives here, decoupled from any concrete
 :class:`~repro.tensors.coo.COOTensor` so that plans can be built from
 declared metadata alone (the :func:`repro.core.expression` compile-ahead
-path and the ``repro check``/``repro network --explain`` static paths).
+path and the ``repro network --explain`` static path).
 
 Subscript semantics (the tensor-network subset of einsum):
 

@@ -35,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from repro.core.guards import plan_guard
 from repro.core.model import choose_accumulator, estimate_output_density
 from repro.errors import PlanError
 from repro.machine.cost_model import DEFAULT_WEIGHTS, AccessCostModel, ProblemShape
@@ -82,6 +83,7 @@ class _StepEstimate:
     seconds: float         # modeled seconds (Section 5.3 access model)
     accumulator: str
     tile: int
+    guard: str = ""        # the kernel guards' verdict ("" for outer steps)
 
 
 def _estimate_step(a: _Node, b: _Node, machine: MachineSpec) -> _StepEstimate:
@@ -143,6 +145,9 @@ def _estimate_step(a: _Node, b: _Node, machine: MachineSpec) -> _StepEstimate:
         seconds=seconds,
         accumulator=choice.accumulator,
         tile=choice.tile_size,
+        guard=plan_guard(
+            choice.accumulator, L, R, tile_l, tile_r, nnz_a, nnz_b
+        ).verdict,
     )
 
 
@@ -352,7 +357,7 @@ def build_plan(
             sub_l=a.sub, sub_r=b.sub, sub_out=est.node.sub,
             kind=est.kind, pairs=est.pairs,
             est_nnz=est.node.nnz, est_cost=est.seconds,
-            accumulator=est.accumulator, tile=est.tile,
+            accumulator=est.accumulator, tile=est.tile, guard=est.guard,
         ))
         total_cost += est.seconds
         del live[j], live_is_intermediate[j]

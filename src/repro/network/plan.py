@@ -95,6 +95,8 @@ class PlanStep:
     the step consumes both positions and appends its result at the end
     — the ``numpy.einsum_path`` convention.  ``sub_l``/``sub_r`` are the
     inputs' subscripts at that point, ``sub_out`` the result's.
+    ``guard`` is :func:`repro.core.guards.plan_guard`'s verdict on the
+    step's planned tiles (``"dnf"``: the kernel would refuse it).
 
     The last four fields are *plan annotations* (set by
     :func:`repro.network.dataflow.annotate_plan`).  They never change
@@ -127,6 +129,7 @@ class PlanStep:
     est_cost: float  # modeled seconds through machine/cost_model
     accumulator: str  # Algorithm 7's choice ("" for outer steps)
     tile: int
+    guard: str = ""  # "ok" | "dnf" from the kernel guards ("" for outer steps)
     cse_of: int = -1
     dead: bool = False
     hoist_l: bool = False
@@ -219,6 +222,7 @@ class NetworkPlan:
             lines.append(
                 f"  step {k}: ({s.i},{s.j})  {s.subscripts:<24} "
                 f"[{acc}]  ~{s.est_nnz:.3g} nnz, {s.est_cost:.3e}s"
+                + (f", guard {s.guard}" if s.guard else "")
                 + (f"  <{notes}>" if notes else "")
             )
         if not self.steps:
@@ -252,6 +256,7 @@ class NetworkPlan:
                 est_cost=float(s["est_cost"]),
                 accumulator=s["accumulator"],
                 tile=int(s["tile"]),
+                guard=s.get("guard", ""),
                 cse_of=int(s.get("cse_of", -1)),
                 dead=bool(s.get("dead", False)),
                 hoist_l=bool(s.get("hoist_l", False)),

@@ -12,6 +12,8 @@ This package provides:
   environment cannot run natively (DESIGN.md substitution table); and
 * :mod:`repro.parallel.memory_pool` — chunked append-only COO builders
   (the 512 MB-chunk pool of the paper, with a configurable chunk size).
+  The kernel itself does not use them: it concatenates the drained
+  per-pair blocks once, in LPT rank order.
 """
 
 from repro.parallel.memory_pool import COOBuilder, PoolStats

@@ -44,9 +44,10 @@ import multiprocessing as mp
 import os
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, SchedulerError
+from repro.errors import ConfigError, ConfigWarning, SchedulerError
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.serve.request import (
     STATUS_FAILED,
@@ -143,8 +144,8 @@ class ShardRouter:
 
     Structurally broken configs raise :class:`ConfigError` when the
     :class:`ShardedConfig` is built.  A fleet wanting more cores than
-    the host has (``n_shards * n_workers > os.cpu_count()``) is kept as
-    an ``FSTC304`` warning on ``config_diagnostics``.
+    the host has (``n_shards * n_workers > os.cpu_count()``) draws
+    an ``FSTC304`` :class:`~repro.errors.ConfigWarning`.
     """
 
     def __init__(
@@ -152,26 +153,19 @@ class ShardRouter:
         machine: MachineSpec = DESKTOP,
         config: ShardedConfig | None = None,
     ):
-        from repro.staticcheck.diagnostics import make_diagnostic
-
         self.machine = machine
         self.config = config if config is not None else ShardedConfig()
-        self.config_diagnostics = []
         n_shards = self.config.n_shards
         n_workers = self.config.service.n_workers
         cpus = os.cpu_count() or 1
         if n_shards > 1 and n_shards * n_workers > cpus:
-            self.config_diagnostics.append(make_diagnostic(
-                "FSTC304",
-                f"{n_shards} shards x {n_workers} workers want "
+            warnings.warn(
+                f"FSTC304: {n_shards} shards x {n_workers} workers want "
                 f"{n_shards * n_workers} cores but the host has {cpus}; "
-                "shards will time-slice instead of scaling",
-                hint="size n_shards * n_workers at or below os.cpu_count(), "
-                     "or accept latency inflation on an oversubscribed host",
-                location="sharded config",
-                data={"n_shards": n_shards, "n_workers": n_workers,
-                      "cpus": cpus},
-            ))
+                "shards will time-slice instead of scaling (size n_shards "
+                "* n_workers at or below os.cpu_count())",
+                ConfigWarning, stacklevel=2,
+            )
 
         self._ctx = mp.get_context("spawn")
         self._shards: dict[int, _Shard] = {

@@ -35,8 +35,9 @@ executor with the serving machinery the ROADMAP's traffic shape needs:
 :class:`ServiceConfig` refuses unsafe settings when it is built
 (``ConfigError`` naming ``FSTC301``, ``FSTC601`` or ``FSTC603``), so an
 unbounded queue or a runaway exploration rate can not reach
-production; the service keeps the warning-severity codes on
-``config_diagnostics``.
+production; settings that run but misbehave (``FSTC303``, ``602``,
+``604``, ``703``) are emitted as :class:`~repro.errors.ConfigWarning`
+when the service is built.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 
 from repro.core.model import choose_plan
 from repro.core.plan import ContractionSpec
-from repro.errors import ConfigError, ReproError, SchedulerError
+from repro.errors import ConfigError, ConfigWarning, ReproError, SchedulerError
 from repro.machine.cost_model import AccessCostModel, ProblemShape
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.network.executor import NetworkExecutor, StepResultCache
@@ -198,49 +200,38 @@ class ServiceConfig:
         check_stream_limits(self.stream_staleness_threshold)
 
 
-def _config_warnings(config: ServiceConfig, machine: MachineSpec) -> list:
-    """Warning-severity findings (``FSTC303``/``602``/``604``/``703``)
-    for running ``config`` on ``machine``."""
-    from repro.staticcheck.diagnostics import make_diagnostic
-
-    where = "service config"
-    out = []
+def _warn_config(config: ServiceConfig, machine: MachineSpec) -> None:
+    """Warn (:class:`~repro.errors.ConfigWarning`) about what ``config``
+    does wrong on ``machine`` (``FSTC303``/``602``/``604``/``703``)."""
+    found = []
     if config.n_workers > machine.n_cores:
-        out.append(make_diagnostic(
-            "FSTC303",
-            f"{config.n_workers} workers oversubscribe {machine.name}'s "
-            f"{machine.n_cores} cores",
-            hint="size the pool at or below the core count the cost "
-                 "model was calibrated for",
-            location=where,
-        ))
+        found.append(
+            f"FSTC303: {config.n_workers} workers oversubscribe "
+            f"{machine.name}'s {machine.n_cores} cores; size the pool at or "
+            "below the core count the cost model was calibrated for"
+        )
     if config.autotune and config.autotune_state_path is None:
-        out.append(make_diagnostic(
-            "FSTC602",
-            "learned autotune state is not persisted; every restart "
-            "relearns from zero and shard workers cannot warm-start",
-            hint="set autotune_state_path (or the router's cache_dir)",
-            location=where,
-        ))
+        found.append(
+            "FSTC602: learned autotune state is not persisted; every "
+            "restart relearns from zero and shard workers cannot "
+            "warm-start (set autotune_state_path or the router's cache_dir)"
+        )
     if config.autotune and config.autotune_min_trials < 2:
-        out.append(make_diagnostic(
-            "FSTC604",
-            f"trials floor {config.autotune_min_trials} promotes or rolls "
-            "back on a single wall-clock sample",
-            hint="set autotune_min_trials to at least 2",
-            location=where,
-        ))
+        found.append(
+            f"FSTC604: trials floor {config.autotune_min_trials} promotes "
+            "or rolls back on a single wall-clock sample; set "
+            "autotune_min_trials to at least 2"
+        )
     if config.stream_staleness_threshold > MAX_SANE_STALENESS:
-        out.append(make_diagnostic(
-            "FSTC703",
-            f"staleness threshold {config.stream_staleness_threshold} "
-            "patches even when the density model prices the patch at "
-            f"more than {MAX_SANE_STALENESS:.0%} of a full recompute",
-            hint=f"keep stream_staleness_threshold at or below "
-                 f"{MAX_SANE_STALENESS}",
-            location=where,
-        ))
-    return out
+        found.append(
+            f"FSTC703: staleness threshold "
+            f"{config.stream_staleness_threshold} patches even when the "
+            "density model prices the patch at more than "
+            f"{MAX_SANE_STALENESS:.0%} of a full recompute; keep "
+            f"stream_staleness_threshold at or below {MAX_SANE_STALENESS}"
+        )
+    for message in found:
+        warnings.warn(message, ConfigWarning, stacklevel=3)
 
 
 def _pairwise_floor(request, machine: MachineSpec) -> float:
@@ -313,7 +304,7 @@ class ContractionService:
     ):
         self.machine = machine
         self.config = config if config is not None else ServiceConfig()
-        self.config_diagnostics = _config_warnings(self.config, machine)
+        _warn_config(self.config, machine)
         self.runtime = runtime if runtime is not None else ContractionRuntime(
             machine=machine,
             cache_size=self.config.plan_cache_size,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import FormatError, ShapeError
 
 __all__ = [
     "INDEX_DTYPE",
@@ -47,7 +47,14 @@ def as_index_array(data, *, copy: bool = False) -> np.ndarray:
 
 
 def as_value_array(data, *, copy: bool = False) -> np.ndarray:
-    """Coerce ``data`` to a contiguous 1-D ``float64`` array."""
+    """Coerce ``data`` to a contiguous 1-D ``float64`` array.
+
+    Complex values are refused: casting them would drop the imaginary
+    part, and the kernels accumulate in ``float64`` only.
+    """
+    if np.iscomplexobj(data):
+        raise FormatError("complex values are not supported; the kernels "
+                          "accumulate in float64")
     arr = np.ascontiguousarray(data, dtype=VALUE_DTYPE)
     if copy and arr is data:
         arr = arr.copy()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.plan import LinearizedOperand
+from repro.errors import ConfigWarning
 from repro.data.random_tensors import random_coo, random_operand_pair
 
 
@@ -48,3 +51,14 @@ def triples_to_dense(l_idx, r_idx, values, L, R) -> np.ndarray:
     out = np.zeros((L, R))
     np.add.at(out, (np.asarray(l_idx), np.asarray(r_idx)), np.asarray(values))
     return out
+
+
+def config_warning_codes(build) -> list[str]:
+    """The ``FSTC`` codes of the :class:`ConfigWarning`s ``build()`` emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    return [
+        str(w.message).split(":")[0]
+        for w in caught if issubclass(w.category, ConfigWarning)
+    ]

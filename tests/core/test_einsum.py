@@ -211,3 +211,23 @@ class TestSumOutModes:
         reduced = _sum_out_modes(t, [0, 1])
         assert reduced.shape == ()
         assert float(reduced.to_dense()) == pytest.approx(t.values.sum())
+
+
+#: Einsum requests that are invalid, named by the FSTC code they once
+#: drew, and the typed error that refuses them (the declared-shape forms
+#: are tests/staticcheck/test_expr_lint.py).
+INVALID_REQUESTS = {
+    "FSTC001-malformed": ("ij,jk-ik", [(4, 4), (4, 4)], PlanError),
+    "FSTC002-arity": ("ijk,jk->i", [(4, 4), (4, 4)], ShapeError),
+    "FSTC003-extent-conflict": ("ij,jk->ik", [(4, 5), (6, 7)], ShapeError),
+    "FSTC016-index-in-three": ("ij,jk,jl->ikl", [(4, 5), (5, 6), (5, 7)], PlanError),
+}
+
+
+class TestInvalidRequests:
+    @pytest.mark.parametrize("name", list(INVALID_REQUESTS))
+    def test_tensor_request_is_refused(self, name):
+        subscripts, shapes, error = INVALID_REQUESTS[name]
+        operands = [random_coo(s, nnz=3, seed=k) for k, s in enumerate(shapes)]
+        with pytest.raises(error):
+            einsum(subscripts, *operands)

@@ -68,6 +68,14 @@ class TestSerialization:
         with pytest.raises(PlanError, match="version"):
             NetworkPlan.from_json(payload)
 
+    def test_plans_saved_without_a_guard_still_load(self):
+        plan = build_plan(chain_network(), DESKTOP, "dp")
+        payload = plan.to_json()
+        assert {s["guard"] for s in payload["steps"]} == {"ok"}
+        for step in payload["steps"]:
+            del step["guard"]
+        assert {s.guard for s in NetworkPlan.from_json(payload).steps} == {""}
+
     def test_payload_is_json_friendly(self):
         payload = build_plan(chain_network(), DESKTOP, "greedy").to_json()
         text = json.dumps(payload)
@@ -94,6 +102,17 @@ class TestExplain:
         net = TensorNetwork.parse("ij,kl->ijkl", [(3, 4), (5, 6)])
         text = build_plan(net, DESKTOP, "dp").explain()
         assert "[outer]" in text
+        assert "guard" not in text  # outer steps never reach the kernel
+
+    def test_explain_prints_each_steps_guard(self):
+        # A dense 512-tile grid of 1954 x 1954 tasks is over the task guard.
+        net = TensorNetwork.parse(
+            "ij,jk->ik", [(10**6, 10), (10, 10**6)], nnz=[10**6, 10**6]
+        )
+        plan = build_plan(net, DESKTOP, "dp")
+        assert plan.steps[0].guard == "dnf"
+        assert "guard dnf" in plan.explain()
+        assert "guard ok" in build_plan(chain_network(), DESKTOP, "dp").explain()
 
     def test_step_subscripts_property(self):
         plan = build_plan(chain_network(), DESKTOP, "left")

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.autotune import TunerConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ConfigWarning
 from repro.machine.specs import DESKTOP
 from repro.serve import ContractionService, ServiceConfig
-from repro.staticcheck.diagnostics import CODES
+from tests.conftest import config_warning_codes
+from tests.staticcheck.catalogue import source_codes
 
 
 @pytest.fixture(autouse=True)
@@ -26,16 +27,18 @@ def config(**overrides) -> ServiceConfig:
 
 def codes(**overrides):
     """Warning codes of a never-started service built from ``config``."""
-    service = ContractionService(DESKTOP, config(**overrides))
-    return [d.code for d in service.config_diagnostics]
+    return config_warning_codes(
+        lambda: ContractionService(DESKTOP, config(**overrides))
+    )
 
 
 class TestRegistry:
     def test_codes_are_registered(self):
-        assert CODES["FSTC601"][0] == "error"
-        assert CODES["FSTC602"][0] == "warning"
-        assert CODES["FSTC603"][0] == "error"
-        assert CODES["FSTC604"][0] == "warning"
+        emitted = source_codes()
+        assert emitted["FSTC601"] == "raises"
+        assert emitted["FSTC602"] == "warns"
+        assert emitted["FSTC603"] == "raises"
+        assert emitted["FSTC604"] == "warns"
 
 
 class TestExploreRate:
@@ -78,11 +81,12 @@ class TestPersistenceAndGates:
 
 class TestDuckTyping:
     def test_disabled_tuner_lints_clean(self):
-        service = ContractionService(DESKTOP, ServiceConfig(
-            autotune=False, autotune_explore_rate=5.0,
-            autotune_promote_margin=0.0, autotune_min_trials=0,
-        ))
-        assert service.config_diagnostics == []
+        assert config_warning_codes(lambda: ContractionService(
+            DESKTOP, ServiceConfig(
+                autotune=False, autotune_explore_rate=5.0,
+                autotune_promote_margin=0.0, autotune_min_trials=0,
+            ),
+        )) == []
 
     def test_prefixed_spellings_are_read(self):
         # ServiceConfig's autotune_-prefixed fields carry the knobs.
@@ -97,7 +101,7 @@ class TestDuckTyping:
         TunerConfig(explore_rate=1.0)
 
     def test_location_is_threaded_through(self):
-        service = ContractionService(
-            DESKTOP, config(autotune_state_path=None)
-        )
-        assert service.config_diagnostics[0].location == "service config"
+        # The warning points at the line that built the service.
+        with pytest.warns(ConfigWarning, match="FSTC602") as record:
+            ContractionService(DESKTOP, config(autotune_state_path=None))
+        assert record[0].filename == __file__

@@ -1,12 +1,13 @@
-"""Static/dynamic parity: the linter's predicted verdict matches what
-the runtime actually does, for every registry case on both machines.
+"""The planned guard verdict against Table 3 and the kernel.
 
-This is the load-bearing guarantee behind ``python -m repro check``: a
-predicted ``"dnf"`` means the kernel *would* raise
-:class:`WorkspaceLimitError` (the paper's Table 3 DNF regime), and a
-predicted ``"ok"`` means it completes.  The golden Algorithm 7 fixture
-(``tests/data/algorithm7_plans.json``) pins the same problem parameters
-the audit derives, so plan decisions are cross-checked against it too.
+Table 3's one DNF entry — NIPS mode 2 under a forced dense accumulator —
+is a pure function of Algorithm 7's inputs.  The planned verdict
+(:func:`repro.core.guards.plan_guard`) is held against the golden
+Algorithm 7 fixture (``tests/data/algorithm7_plans.json``) and against
+what the kernel actually does, for every registry case on both paper
+machines and all three of Table 3's accumulator columns: a planned
+``"dnf"`` means the kernel raises :class:`WorkspaceLimitError`, and a
+planned ``"ok"`` means it completes.
 """
 
 import json
@@ -15,14 +16,17 @@ from pathlib import Path
 import pytest
 
 from repro import contract
+from repro.core.guards import plan_guard
+from repro.core.model import choose_plan
+from repro.core.plan import ContractionSpec
 from repro.data.registry import all_cases, get_case
 from repro.errors import WorkspaceLimitError
-from repro.staticcheck import audit_case, case_problem
+from repro.machine.specs import DESKTOP, SERVER
 
 FIXTURE = Path(__file__).parent.parent / "data" / "algorithm7_plans.json"
 GOLDEN = json.loads(FIXTURE.read_text())
 CASES = sorted(all_cases())
-MACHINES = ("desktop", "server")
+MACHINES = {"desktop": DESKTOP, "server": SERVER}
 
 _operands_cache = {}
 
@@ -33,14 +37,27 @@ def operands(name):
     return _operands_cache[name]
 
 
-def runtime_verdict(name, machine_name, accumulator):
-    from repro.machine.specs import DESKTOP, SERVER
+def planned(name, machine, accumulator="auto"):
+    """The plan and planned verdict of one case's golden problem."""
+    p = GOLDEN[name]["problem"]
+    L, R, C = p["L"], p["R"], p["C"]
+    plan = choose_plan(
+        ContractionSpec((L, C), (C, R), [(1, 0)]), p["nnz_l"], p["nnz_r"],
+        MACHINES[machine], accumulator=accumulator,
+    )
+    verdict = plan_guard(
+        plan.accumulator, L, R, plan.tile_l, plan.tile_r,
+        p["nnz_l"], p["nnz_r"],
+    )
+    return plan, verdict.verdict
 
-    machine = SERVER if machine_name == "server" else DESKTOP
+
+def runtime_verdict(name, machine, accumulator):
     left, right, pairs = operands(name)
     try:
         contract(
-            left, right, pairs, machine=machine, accumulator=accumulator
+            left, right, pairs,
+            machine=MACHINES[machine], accumulator=accumulator,
         )
     except WorkspaceLimitError:
         return "dnf"
@@ -54,35 +71,29 @@ def test_fixture_covers_every_case():
 
 @pytest.mark.parametrize("name", CASES)
 def test_problem_parameters_match_golden_fixture(name):
-    problem = case_problem(name)
-    golden = GOLDEN[name]["problem"]
-    assert {
-        k: problem[k] for k in ("L", "R", "C", "nnz_l", "nnz_r")
-    } == golden
+    left, right, pairs = operands(name)
+    spec = ContractionSpec(left.shape, right.shape, pairs)
+    problem = {
+        "L": spec.L, "R": spec.R, "C": spec.C,
+        "nnz_l": spec.linearize_left(left).sum_duplicates().nnz,
+        "nnz_r": spec.linearize_right(right).sum_duplicates().nnz,
+    }
+    assert problem == GOLDEN[name]["problem"]
 
 
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("machine", MACHINES)
 def test_predicted_plan_matches_golden_fixture(name, machine):
-    audit = audit_case(
-        name, machines=(machine,), accumulators=("auto",),
-        problem=dict(GOLDEN[name]["problem"],
-                     occupied_l={"ext": [], "model": None},
-                     occupied_r={"ext": []}),
-    )
-    prediction = audit.reports[(machine, "auto")].prediction
+    plan, _ = planned(name, machine)
     golden = GOLDEN[name][machine]
-    assert prediction.accumulator == golden["accumulator"]
-    assert prediction.tile_l == golden["tile_l"]
-    assert prediction.tile_r == golden["tile_r"]
+    assert plan.accumulator == golden["accumulator"]
+    assert (plan.tile_l, plan.tile_r) == (golden["tile_l"], golden["tile_r"])
 
 
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("machine", MACHINES)
 def test_auto_verdict_matches_runtime(name, machine):
-    audit = audit_case(name, machines=(machine,), accumulators=("auto",))
-    static = audit.verdict(machine, "auto")
-    assert static == "ok"  # every Table 3 auto row completes
+    assert planned(name, machine)[1] == "ok"  # every Table 3 auto row runs
     assert runtime_verdict(name, machine, "auto") == "ok"
 
 
@@ -90,9 +101,8 @@ def test_auto_verdict_matches_runtime(name, machine):
 @pytest.mark.parametrize("machine", MACHINES)
 def test_forced_dense_verdict_matches_runtime(name, machine):
     """The Table 3 dense column — including the NIPS mode-2 DNF cell."""
-    audit = audit_case(name, machines=(machine,), accumulators=("dense",))
-    static = audit.verdict(machine, "dense")
-    assert runtime_verdict(name, machine, "dense") == static
+    _, verdict = planned(name, machine, "dense")
+    assert runtime_verdict(name, machine, "dense") == verdict
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -100,17 +110,16 @@ def test_forced_dense_verdict_matches_runtime(name, machine):
 def test_forced_sparse_never_predicts_dnf(name, machine):
     # Sparse tiles grow with output sparsity, so no benchmark case can
     # overflow either guard; Table 3's sparse column has no DNF entry.
-    audit = audit_case(name, machines=(machine,), accumulators=("sparse",))
-    assert audit.verdict(machine, "sparse") == "ok"
+    assert planned(name, machine, "sparse")[1] == "ok"
 
 
 def test_nips2_dense_dnf_is_the_only_dnf():
-    dnf = []
-    for name in CASES:
-        audit = audit_case(name)
-        for (machine, acc), report in audit.reports.items():
-            if report.verdict == "dnf":
-                dnf.append((name, machine, acc))
+    dnf = [
+        (name, machine, acc)
+        for name in CASES for machine in MACHINES
+        for acc in ("auto", "dense", "sparse")
+        if planned(name, machine, acc)[1] == "dnf"
+    ]
     assert dnf == [
         ("NIPS_2", "desktop", "dense"),
         ("NIPS_2", "server", "dense"),

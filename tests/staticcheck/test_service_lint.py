@@ -5,18 +5,19 @@ from types import SimpleNamespace
 import pytest
 
 from repro.data.random_tensors import random_coo
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ConfigWarning
 from repro.machine.specs import DESKTOP
 from repro.serve import ContractionService, ServiceConfig, synthetic_requests
 from repro.serve.service import cost_floor_seconds
-from repro.staticcheck.diagnostics import CODES
+from tests.conftest import config_warning_codes
+from tests.staticcheck.catalogue import documented_codes, find_docs, source_codes
 
 
-def diagnostics(**overrides):
-    """``config_diagnostics`` of a never-started service."""
-    return ContractionService(
-        DESKTOP, ServiceConfig(**overrides)
-    ).config_diagnostics
+def codes(**overrides):
+    """Warning codes of a never-started service."""
+    return config_warning_codes(
+        lambda: ContractionService(DESKTOP, ServiceConfig(**overrides))
+    )
 
 
 @pytest.fixture
@@ -37,15 +38,16 @@ def network_request():
 
 class TestRegistry:
     def test_codes_are_registered(self):
-        assert CODES["FSTC301"][0] == "error"
-        assert CODES["FSTC303"][0] == "warning"
-        # Retired with the request-deadline lint; codes stay reserved.
-        assert "FSTC302" not in CODES
+        emitted = source_codes()
+        assert emitted["FSTC301"] == "raises"
+        assert emitted["FSTC303"] == "warns"
+        # Retired with the request-deadline lint; the code stays unused.
+        assert "FSTC302" not in emitted
 
 
 class TestConfigLint:
     def test_clean_config_has_no_findings(self):
-        assert diagnostics() == []
+        assert codes() == []
 
     @pytest.mark.parametrize("capacity", [None, 0, -1])
     def test_unbounded_queue_is_an_error(self, capacity):
@@ -61,14 +63,18 @@ class TestConfigLint:
             ServiceConfig(max_batch=0)
 
     def test_oversubscribed_pool_warns(self):
-        findings = diagnostics(n_workers=DESKTOP.n_cores + 1)
-        assert [d.code for d in findings] == ["FSTC303"]
-        assert findings[0].severity == "warning"
+        with pytest.warns(ConfigWarning, match="FSTC303: 9 workers"):
+            ContractionService(DESKTOP, ServiceConfig(n_workers=9))
+        assert codes(n_workers=DESKTOP.n_cores + 1) == ["FSTC303"]
 
     def test_location_is_threaded_through(self):
-        findings = diagnostics(n_workers=DESKTOP.n_cores + 1)
-        assert findings[0].location == "service config"
-        assert findings[0].render().startswith("service config: FSTC303")
+        # The warning points at the line that built the service.
+        with pytest.warns(ConfigWarning) as record:
+            ContractionService(
+                DESKTOP, ServiceConfig(n_workers=DESKTOP.n_cores + 1)
+            )
+        assert record[0].filename == __file__
+        assert str(record[0].message).startswith("FSTC303: ")
 
 
 class TestCostFloor:
@@ -95,6 +101,7 @@ class TestCostFloor:
 
 class TestDocsAudit:
     def test_catalogue_documents_the_service_codes(self):
-        from repro.staticcheck import audit_code_registry
-
-        assert audit_code_registry() == []
+        documented = documented_codes(find_docs().read_text(encoding="utf-8"))
+        emitted = source_codes()
+        for code in ("FSTC301", "FSTC303", "FSTC304"):
+            assert documented[code] == emitted[code]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import ConfigWarning
 from repro.serve import ServiceConfig, ShardedConfig, ShardRouter
+from tests.conftest import config_warning_codes
 
 
 @pytest.fixture
@@ -13,26 +15,28 @@ def cpus(monkeypatch):
     return pin
 
 
-def router_diagnostics(n_shards, n_workers):
+def router(n_shards, n_workers):
     config = ShardedConfig(
         n_shards=n_shards, service=ServiceConfig(n_workers=n_workers)
     )
-    return ShardRouter(config=config).config_diagnostics
+    return ShardRouter(config=config)
 
 
 class TestShardConfigLint:
     def test_oversubscription_flagged(self, cpus):
         cpus(4)
-        out = router_diagnostics(4, 2)
-        assert [d.code for d in out] == ["FSTC304"]
-        assert out[0].severity == "warning"
-        assert out[0].data == {"n_shards": 4, "n_workers": 2, "cpus": 4}
+        with pytest.warns(ConfigWarning) as record:
+            router(4, 2)
+        assert [str(w.message) for w in record][0].startswith(
+            "FSTC304: 4 shards x 2 workers want 8 cores but the host has 4;"
+        )
+        assert config_warning_codes(lambda: router(4, 2)) == ["FSTC304"]
 
     def test_fitting_fleet_is_clean(self, cpus):
         cpus(8)
-        assert router_diagnostics(4, 2) == []
+        assert config_warning_codes(lambda: router(4, 2)) == []
 
     def test_single_shard_never_flagged(self, cpus):
         # One shard is the unsharded regime; FSTC303 owns that story.
         cpus(1)
-        assert router_diagnostics(1, 16) == []
+        assert config_warning_codes(lambda: router(1, 16)) == []

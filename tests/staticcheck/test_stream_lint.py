@@ -5,15 +5,18 @@ import pytest
 from repro.errors import ConfigError
 from repro.machine.specs import DESKTOP
 from repro.serve import ContractionService, ServiceConfig
-from repro.staticcheck import audit_code_registry
-from repro.staticcheck.diagnostics import CODES
 from repro.streaming import IncrementalEngine
+from tests.conftest import config_warning_codes
+from tests.staticcheck.catalogue import documented_codes, find_docs, source_codes
+
+RETIRED = ("FSTC701", "FSTC702", "FSTC704")
 
 
 def codes(**overrides):
     """Codes a never-started service warns for ``ServiceConfig(**overrides)``."""
-    service = ContractionService(DESKTOP, ServiceConfig(**overrides))
-    return sorted(d.code for d in service.config_diagnostics)
+    return sorted(config_warning_codes(
+        lambda: ContractionService(DESKTOP, ServiceConfig(**overrides))
+    ))
 
 
 class TestConfigLint:
@@ -30,7 +33,7 @@ class TestConfigLint:
         # the engine applies, not merely warned.
         with pytest.raises(ConfigError, match="staleness_threshold"):
             ServiceConfig(stream_staleness_threshold=0.0)
-        assert CODES["FSTC703"][0] == "warning"
+        assert source_codes()["FSTC703"] == "warns"
 
     def test_oversized_threshold_is_fstc703(self):
         assert codes(stream_staleness_threshold=0.9) == ["FSTC703"]
@@ -49,11 +52,11 @@ class TestConfigLint:
 
 class TestRegistry:
     def test_fstc7xx_codes_are_documented(self):
-        # docs/staticcheck.md must describe every registered code with
-        # its severity (the FSTC105 self-audit).
-        assert audit_code_registry() == []
+        documented = documented_codes(find_docs().read_text(encoding="utf-8"))
+        assert documented["FSTC703"] == "warns"
+        assert not set(RETIRED) & set(documented)
 
     def test_fstc7xx_codes_registered(self):
-        assert "FSTC703" in CODES
-        for retired in ("FSTC701", "FSTC702", "FSTC704"):
-            assert retired not in CODES
+        emitted = source_codes()
+        assert emitted["FSTC703"] == "warns"
+        assert not set(RETIRED) & set(emitted)

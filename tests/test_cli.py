@@ -49,6 +49,7 @@ class TestParser:
         ["serve", "--demo"], ["serve", "--quick"],
         ["autotune", "--self-check"], ["autotune", "--quick"],
         ["autotune", "--seed", "1"], ["stream", "--demo"],
+        ["check"], ["check", "--self"],
     ])
     def test_demo_paths_are_gone(self, argv):
         with pytest.raises(SystemExit):
@@ -70,6 +71,17 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "decision:" in out
+
+    @pytest.mark.parametrize("bad", [
+        ["--L", "0"], ["--nnz-l", "-5"], ["--nnz-l", "1001"], ["--nnz-r", "1001"],
+    ])
+    def test_plan_refuses_impossible_parameters(self, bad, capsys):
+        argv = ["plan", "--L", "10", "--R", "10", "--C", "100",
+                "--nnz-l", "50", "--nnz-r", "50"]
+        for flag, value in zip(bad[::2], bad[1::2]):
+            argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert "0 <= --nnz-l <= L*C" in capsys.readouterr().err
 
     def test_run_small_case(self, capsys):
         assert main(["run", "uber_123", "--method", "fastcc"]) == 0

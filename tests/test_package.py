@@ -52,31 +52,6 @@ class TestImports:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
 
-    def test_serving_imports_skip_the_lint_passes(self):
-        # Neither the network layer nor the service and shard processes
-        # load repro.staticcheck on import; the lint passes load on first
-        # use of one of their names.
-        import subprocess
-        import sys
-
-        lint = ["repro.staticcheck"] + [
-            "repro.staticcheck." + m
-            for m in ("ast_lint", "expr_lint", "audit", "graph_lint",
-                      "registry_audit")
-        ]
-        code = (
-            "import sys\n"
-            "import repro.network, repro.serve.service, repro.serve.router\n"
-            f"print([m for m in {lint!r} if m in sys.modules])\n"
-            "from repro.staticcheck import lint_expression, audit_code_registry\n"
-            "print('repro.staticcheck.expr_lint' in sys.modules)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["[]", "True"]
-
 
 class TestExports:
     def test_all_resolvable(self):
