@@ -33,6 +33,7 @@ __all__ = [
     "linearized_case",
     "time_fastcc",
     "time_method",
+    "row_task_costs",
     "simulated_parallel_time",
     "simulate_sparta_parallel",
     "tile_candidates",
@@ -80,10 +81,16 @@ def linearized_case(case_name: str):
 
 @dataclass
 class FastccRun:
-    """One measured FaSTCC execution."""
+    """One measured FaSTCC execution.
+
+    ``task_costs`` are per tile pair, aligned with ``task_pairs`` (the
+    kernel's LPT pair order); :func:`row_task_costs` sums them into the
+    row tasks the kernel actually schedules.
+    """
 
     seconds: float
     task_costs: np.ndarray
+    task_pairs: list
     output_nnz: int
     plan_accumulator: str
     tile: int
@@ -117,6 +124,7 @@ def time_fastcc(
             best = FastccRun(
                 seconds=dt,
                 task_costs=stats.task_costs,
+                task_pairs=stats.task_pairs,
                 output_nnz=int(values.shape[0]),
                 plan_accumulator=plan.accumulator,
                 tile=plan.tile_l,
@@ -161,15 +169,31 @@ def time_method(case_name: str, method: str, *, repeats: int = 1) -> float:
     return best
 
 
+def row_task_costs(run: FastccRun) -> np.ndarray:
+    """Cost of each row task (one per nonempty left tile), in submit order.
+
+    The kernel submits rows by descending ``nnz(HL_i)``.  A row's first
+    pair in the LPT pair order is its heaviest, ``nnz(HL_i)`` times the
+    heaviest right tile, so the rows' first appearances in
+    ``task_pairs`` are exactly that submit order (ties by ascending
+    ``i`` on both sides).
+    """
+    rows = np.array([i for i, _ in run.task_pairs], dtype=np.int64)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse, weights=run.task_costs, minlength=first.shape[0])
+    return sums[np.argsort(first)]
+
+
 def simulated_parallel_time(run: FastccRun, n_threads: int) -> float:
     """Replay a measured FaSTCC run at ``n_threads``.
 
-    The tile-pair tasks are replayed through the dynamic scheduler; the
-    non-task phases (table construction, output merge) are scaled
-    conservatively — table construction parallelizes across tiles (the
-    paper splits threads between the two operands), the merge is serial.
+    The row tasks are replayed through the dynamic scheduler in the
+    kernel's submit order; the non-task phases (table construction,
+    output merge) are scaled conservatively — table construction
+    parallelizes across tiles (the paper splits threads between the two
+    operands), the merge is serial.
     """
-    kernel = simulate_dynamic_schedule(run.task_costs, n_threads).makespan
+    kernel = simulate_dynamic_schedule(row_task_costs(run), n_threads).makespan
     build = run.phase_seconds.get("build_tables", 0.0) / min(n_threads, 4)
     merge = run.phase_seconds.get("merge_output", 0.0)
     return kernel + build + merge

@@ -3,9 +3,16 @@
 The loop-order analysis of Section 3 represents each input tensor as a
 map such as ``HL: C -> P(L x V)`` — from a contraction index to the set
 of (external index, value) pairs in that slice.  ``SliceTable`` realizes
-this: payload arrays are sorted by key once at construction, and an
-open-addressing hash table maps each distinct key to its contiguous
-group, so a query returns array *views* of the whole slice.
+this: payload arrays are sorted by key once at construction, so each
+distinct key owns one contiguous group and a query returns array
+*views* of the whole slice.
+
+The open-addressing hash table from each distinct key to its group is
+built on the table's first probe (``query_batch``, ``get`` or ``in``),
+not at construction.  The FaSTCC kernel joins the sorted ``keys()``
+directly and never probes, so its tables never pay for a map; the
+baselines, the untiled schemes and the semiring kernel probe and build
+it once.
 
 A query costs one hash lookup (counted as one ``hash_query``) and its
 payload is proportional to the slice's nonzero count (counted as
@@ -14,6 +21,8 @@ metrics Table 1 separates.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -24,6 +33,11 @@ from repro.util.arrays import INDEX_DTYPE, as_index_array, as_value_array
 from repro.util.groups import group_boundaries
 
 __all__ = ["SliceTable"]
+
+#: Serializes first-probe map builds, so concurrent first probes of one
+#: table build (and count) its map once.  Builds are rare, so one lock
+#: for every table is uncontended in practice.
+_BUILD_LOCK = threading.Lock()
 
 
 class SliceTable:
@@ -40,6 +54,9 @@ class SliceTable:
         Numeric value of every element.
     counters:
         Receives ``hash_queries``/``probes`` for the instrumented runs.
+        The map's insert probes are charged here when the map is built,
+        on the first probe; construction itself charges none.  Lookups
+        are charged here unless a query names other counters.
     """
 
     __slots__ = (
@@ -66,19 +83,29 @@ class SliceTable:
         self._idx = idx[order]
         self._values = values[order]
         self._group_keys, self._offsets = group_boundaries(sorted_keys)
+        self._lookup: OpenAddressingMap | None = None
 
-        n_groups = self._group_keys.shape[0]
-        self._lookup = OpenAddressingMap(
-            max(8, int(n_groups / 0.7) + 1),
-            value_dtype=INDEX_DTYPE,
-            counters=self.counters,
-        )
-        if n_groups:
-            self._lookup.set_batch(
-                self._group_keys,
-                np.arange(n_groups, dtype=INDEX_DTYPE),
-                assume_unique=True,  # group keys are distinct by construction
-            )
+    def _map(self) -> OpenAddressingMap:
+        """The key -> group map, built on first use and then kept."""
+        lookup = self._lookup
+        if lookup is None:
+            with _BUILD_LOCK:
+                lookup = self._lookup
+                if lookup is None:
+                    n_groups = self._group_keys.shape[0]
+                    lookup = OpenAddressingMap(
+                        max(8, int(n_groups / 0.7) + 1),
+                        value_dtype=INDEX_DTYPE,
+                        counters=self.counters,
+                    )
+                    if n_groups:
+                        lookup.set_batch(
+                            self._group_keys,
+                            np.arange(n_groups, dtype=INDEX_DTYPE),
+                            assume_unique=True,  # group keys are distinct
+                        )
+                    self._lookup = lookup
+        return lookup
 
     # ------------------------------------------------------------------
 
@@ -97,7 +124,7 @@ class SliceTable:
 
     def get(self, key: int) -> tuple[np.ndarray, np.ndarray]:
         """Slice for one key: ``(indices, values)`` views (empty if absent)."""
-        gi, found = self._lookup.get_batch(np.array([key], dtype=INDEX_DTYPE))
+        gi, found = self._map().get_batch(np.array([key], dtype=INDEX_DTYPE))
         if not found[0]:
             return self._idx[:0], self._values[:0]
         g = int(gi[0])
@@ -116,9 +143,11 @@ class SliceTable:
         ``counters`` receives the lookups' ``hash_queries``/``probes``
         (default: the counters the table was built with), so a cached
         table's queries are charged to the contraction that runs them.
+        The first query also builds the map, charging its insert probes
+        to the table's own counters.
         """
         keys = as_index_array(keys)
-        gi, found = self._lookup.get_batch(keys, counters=counters)
+        gi, found = self._map().get_batch(keys, counters=counters)
         starts = np.zeros(keys.shape[0], dtype=INDEX_DTYPE)
         counts = np.zeros(keys.shape[0], dtype=INDEX_DTYPE)
         g = gi[found]
@@ -140,7 +169,7 @@ class SliceTable:
         return self._idx, self._values
 
     def __contains__(self, key: int) -> bool:
-        return bool(self._lookup.contains_batch(np.array([key], dtype=INDEX_DTYPE))[0])
+        return bool(self._map().contains_batch(np.array([key], dtype=INDEX_DTYPE))[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SliceTable(num_keys={self.num_keys}, nnz={self.nnz})"

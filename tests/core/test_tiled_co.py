@@ -298,6 +298,21 @@ class TestRowTasks:
         for got, want in zip(second[:3], first[:3]):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("acc", ["dense", "sparse"])
+    def test_kernel_builds_no_hash_map(self, grid, acc):
+        """The row join reads sorted keys: no tile's map is ever built."""
+        from repro.core.tiled_co import build_tiled_tables_pair
+
+        left, right, _ = grid
+        plan = plan_for(left, right, accumulator=acc, tile_size=16)
+        hl, hr = build_tiled_tables_pair(left, right, plan.tile_l, plan.tile_r)
+        assert len(hl.nonempty_tiles()) > 1 and len(hr.nonempty_tiles()) > 1
+        _, _, v, _ = tiled_co_contract(left, right, plan, tables=(hl, hr))
+        assert v.size
+        for tables in (hl, hr):
+            for j in tables.nonempty_tiles():
+                assert tables.tables[j]._lookup is None
+
     def test_key_index_matches_the_tiles(self, grid):
         _, right, plan = grid
         hr = build_tiled_tables(right, plan.tile_r)

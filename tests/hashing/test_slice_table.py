@@ -105,12 +105,82 @@ def test_matches_grouped_dict_model(entries):
 
 
 class TestCountersIntegration:
-    def test_probes_counted_on_construction(self):
-        from repro.analysis.counters import Counters
-
+    def test_map_probes_charged_on_first_query(self):
+        """Construction probes nothing; the first query pays the map's
+        inserts plus its lookups, a later query its lookups only."""
         c = Counters()
-        build(list(range(200)), list(range(200)), [1.0] * 200, counters=c)
-        assert c.probes > 0  # the lookup table's inserts probe
+        t = build(list(range(200)), list(range(200)), [1.0] * 200, counters=c)
+        assert c.probes == 0
+        queries = np.arange(0, 400, 3, dtype=np.int64)
+        lookups = Counters()
+        t.query_batch(queries, counters=lookups)
+        inserts = c.probes
+        assert inserts >= t.num_keys  # every group key probed at least once
+        assert lookups.probes >= queries.shape[0]
+        first = c.probes
+        t.query_batch(queries)
+        assert c.probes - first == lookups.probes
+        assert c.hash_queries == queries.shape[0]
+
+    def test_get_and_contains_build_the_map_once(self):
+        c = Counters()
+        t = build([3, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0], counters=c)
+        assert t._lookup is None
+        assert 3 in t
+        lookup = t._lookup
+        assert lookup is not None
+        t.get(1)
+        assert t._lookup is lookup
+
+    def test_concurrent_first_queries_build_one_map(self, monkeypatch):
+        """Eight threads racing the first probe: one map, its inserts
+        counted once, identical spans for every thread."""
+        import sys
+        import threading
+
+        from repro.hashing import slice_table
+
+        maps = []
+
+        class CountingMap(slice_table.OpenAddressingMap):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                maps.append(self)
+
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 5000, 3000)
+        queries = rng.integers(0, 6000, 2000)
+        ref = build(keys, np.arange(3000), np.ones(3000))
+        ref_lookups = Counters()
+        want = ref.query_batch(queries, counters=ref_lookups)
+
+        monkeypatch.setattr(slice_table, "OpenAddressingMap", CountingMap)
+        c = Counters()
+        t = build(keys, np.arange(3000), np.ones(3000), counters=c)
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+        lookups = [Counters() for _ in range(8)]
+
+        def probe(k):
+            barrier.wait()
+            results[k] = t.query_batch(queries, counters=lookups[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(maps) == 1
+        assert c.probes == ref.counters.probes > 0
+        for got, seen in zip(results, lookups):
+            assert seen.probes == ref_lookups.probes
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
     def test_payload_views_not_copies(self):
         t = build([1, 1, 2], [10, 11, 20], [1.0, 2.0, 3.0])
