@@ -33,24 +33,24 @@ from common import (
 THREAD_COUNTS = {"desktop(8t)": 8, "server(64t)": 64}
 
 
-def swept_runs(case_name: str):
+def swept_runs(case_name: str, repeats: int):
     """All tile-sweep runs for a case (measured once, reused per thread
-    count)."""
+    count), each best of ``repeats`` like the model tile and Sparta."""
     spec, _, _ = load_operands(case_name)
     runs = []
     for tile in tile_candidates(spec, span=3):
         try:
-            runs.append(time_fastcc(case_name, tile_size=tile))
+            runs.append(time_fastcc(case_name, tile_size=tile, repeats=repeats))
         except WorkspaceLimitError:
             continue
     return runs
 
 
-def best_tile_run(case_name: str, n_threads: int = 1):
+def best_tile_run(case_name: str, repeats: int, n_threads: int = 1):
     """The best swept tile *for a given thread count* — the paper's
     "best tile size" bars are per platform, so the sweep is judged by
     the simulated time at that platform's thread count."""
-    runs = swept_runs(case_name)
+    runs = swept_runs(case_name, repeats)
     return min(runs, key=lambda r: simulated_parallel_time(r, n_threads))
 
 
@@ -59,7 +59,7 @@ def build_rows(cases=None, repeats=1):
     for name in cases or FROSTT_ORDER:
         sparta_s = time_method(name, "sparta", repeats=repeats)
         model_run = time_fastcc(name, repeats=repeats)
-        sweep = swept_runs(name)
+        sweep = swept_runs(name, repeats)
         row = [name]
         for label, k in THREAD_COUNTS.items():
             sparta_k = simulate_sparta_parallel(name, sparta_s, k)
@@ -124,7 +124,7 @@ def test_model_tile_tracks_best():
     'typically close to the best possible')."""
     for name in ["chic_01", "chic_123", "NIPS_23", "uber_123"]:
         model_run = time_fastcc(name, repeats=2)
-        best = best_tile_run(name)
+        best = best_tile_run(name, repeats=2)
         assert model_run.seconds <= 2.5 * best.seconds + 0.01, name
 
 

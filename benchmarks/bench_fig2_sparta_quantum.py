@@ -31,12 +31,14 @@ from common import (
 THREAD_COUNTS = {"desktop(8t)": 8, "server(64t)": 64}
 
 
-def swept_runs(case_name: str):
+def swept_runs(case_name: str, repeats: int):
+    """All tile-sweep runs for a case (measured once, reused per thread
+    count), each best of ``repeats`` like the model tile and Sparta."""
     spec, _, _ = load_operands(case_name)
     runs = []
     for tile in tile_candidates(spec, span=3):
         try:
-            runs.append(time_fastcc(case_name, tile_size=tile))
+            runs.append(time_fastcc(case_name, tile_size=tile, repeats=repeats))
         except WorkspaceLimitError:
             continue
     return runs
@@ -47,7 +49,7 @@ def build_rows(repeats=1):
     for name in QUANTUM_ORDER:
         sparta_s = time_method(name, "sparta", repeats=repeats)
         model_run = time_fastcc(name, repeats=repeats)
-        sweep = swept_runs(name)
+        sweep = swept_runs(name, repeats)
         row = [name]
         for _, k in THREAD_COUNTS.items():
             sparta_k = simulate_sparta_parallel(name, sparta_s, k)

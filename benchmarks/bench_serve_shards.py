@@ -28,7 +28,8 @@ Acceptance bars: simulated speedup >= 1.7x at 2 shards and >= 3.0x at
 baseline; every request terminal and none failed.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_serve_shards.py``
-Writes ``results/serve_shards.json`` (includes the loadgen seed).
+Writes ``serve_shards.json`` (includes the loadgen seed) to ``results/``,
+or to the directory ``run_all.py --out`` names.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def run_real(requests, n_shards: int) -> dict:
     }
 
 
-def main() -> None:
+def main(out_dir: str | None = None) -> None:
     n_requests = 48 if quick_mode() else 180
     requests = synthetic_requests(
         n_requests, n_signatures=N_SIGNATURES, seed=SEED
@@ -218,7 +219,8 @@ def main() -> None:
               f"cannot scale here, the simulator row carries the claim "
               f"(DESIGN.md substitution)")
 
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "results")
+    if out_dir is None:
+        out_dir = os.path.join(os.path.dirname(__file__), "..", "results")
     os.makedirs(out_dir, exist_ok=True)
     doc = {
         "seed": SEED,

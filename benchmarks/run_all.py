@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import io
 import os
 import sys
@@ -49,14 +50,22 @@ HARNESSES = [
 
 
 def run_harness(name: str, out_dir: str) -> tuple[bool, float]:
-    """Import and run one harness's main(); capture stdout to a file."""
+    """Import and run one harness's main(); capture stdout to a file.
+
+    A harness whose ``main`` takes ``out_dir`` writes its own files
+    there; one that returns a non-zero code is recorded as failed.
+    """
     module = importlib.import_module(name)
+    wants_dir = "out_dir" in inspect.signature(module.main).parameters
     buffer = io.StringIO()
     t0 = time.perf_counter()
     ok = True
     try:
         with redirect_stdout(buffer):
-            module.main()
+            code = module.main(out_dir=out_dir) if wants_dir else module.main()
+        if code:
+            ok = False
+            buffer.write(f"\nFAILED: main() returned {code!r}\n")
     except Exception as exc:  # noqa: BLE001 - recorded, run continues
         ok = False
         buffer.write(f"\nFAILED: {exc!r}\n")

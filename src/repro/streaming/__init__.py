@@ -6,10 +6,10 @@ them.  This package makes sparse tensors *evolving* objects:
 * :mod:`repro.streaming.delta` — :class:`DeltaBatch`, canonical
   insert/update/delete batches applied to COO tensors;
 * :mod:`repro.streaming.engine` — :class:`IncrementalEngine`, which
-  re-contracts only the tiles a delta touched and patches the cached
-  output, falling back to full recompute past a staleness threshold
-  priced through the paper's Section 5.1 density model.  Each delta
-  commits whole or not at all.
+  keeps each stream sorted by tile, re-contracts only the tiles a
+  delta touched and splices their output rows in, falling back to full
+  recompute past a staleness threshold priced through the paper's
+  Section 5.1 density model.  Each delta commits whole or not at all.
 
 The serve layer exposes this as the ``stream`` request kind (see
 :mod:`repro.serve.request`), with shard affinity by stream name so one

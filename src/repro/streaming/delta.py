@@ -27,9 +27,9 @@ from repro.errors import ConfigError, FormatError, ShapeError
 from repro.tensors.coo import COOTensor
 from repro.tensors.linearize import ModeLinearizer
 from repro.util.arrays import as_index_array, as_value_array
-from repro.util.groups import group_boundaries
+from repro.util.groups import group_boundaries, segment_sum
 
-__all__ = ["DELETE", "INSERT", "UPDATE", "DeltaBatch"]
+__all__ = ["DELETE", "INSERT", "UPDATE", "DeltaBatch", "apply_ops"]
 
 #: Operation kinds, stored as one int8 per op.
 INSERT = 0  # value += v (absent coordinates start at 0; creates the entry)
@@ -269,11 +269,8 @@ class DeltaBatch:
     def apply(self, tensor: COOTensor) -> COOTensor:
         """Replay the batch onto a COO tensor; returns a canonical result.
 
-        The input is canonicalized first (duplicates summed), then
-        update/delete coordinates are cleared from it, and the resolved
-        update/insert entries are merged back in.  Explicit zeros
-        written by ``UPDATE 0.0`` are kept (matching the paper's COO
-        handling); ``DELETE`` removes the entry outright.
+        The input's duplicates are summed, then :func:`apply_ops` merges
+        the canonical batch in on row-major linear indices.
         """
         if tuple(tensor.shape) != self.shape:
             raise ShapeError(
@@ -283,18 +280,34 @@ class DeltaBatch:
         base = tensor.sum_duplicates()
         if delta.n_ops == 0:
             return base
-        dlin = delta.linearized()  # sorted: canonical batches are coordinate-ordered
-        barrier = delta.kinds != INSERT
-        if base.nnz and barrier.any():
-            blin = base.linearized()
-            overridden = dlin[barrier]
-            hit = np.searchsorted(overridden, blin)
-            hit = np.minimum(hit, overridden.shape[0] - 1)
-            keep = overridden[hit] != blin
-            base = COOTensor(
-                base.coords[:, keep], base.values[keep], self.shape, check=False
-            )
-        alive = delta.kinds != DELETE
-        coords = np.concatenate([base.coords, delta.coords[:, alive]], axis=1)
-        values = np.concatenate([base.values, delta.values[alive]])
-        return COOTensor(coords, values, self.shape, check=False).sum_duplicates()
+        # Canonical batches are coordinate-ordered, so their keys are sorted.
+        keys, values = apply_ops(
+            base.linearized(), base.values,
+            delta.linearized(), delta.kinds, delta.values,
+        )
+        coords = ModeLinearizer(self.shape).decode(keys)
+        return COOTensor(coords, values, self.shape, check=False)
+
+
+def apply_ops(
+    base_keys: np.ndarray, base_values: np.ndarray,
+    keys: np.ndarray, kinds: np.ndarray, values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``(keys, values)``: a sorted unique base after the
+    resolved ops on sorted unique ``keys`` (any linear key: row-major in
+    :meth:`DeltaBatch.apply`, ``ext * C + con`` in the stream engine).
+
+    Update/delete keys leave the base, then update and insert entries
+    are summed in, so an insert adds ``base + v``.  ``UPDATE 0.0`` keeps
+    an explicit zero (the paper's COO handling); ``DELETE`` removes.
+    """
+    barrier = keys[kinds != INSERT]
+    if base_keys.size and barrier.size:
+        hit = np.minimum(np.searchsorted(barrier, base_keys), barrier.size - 1)
+        keep = barrier[hit] != base_keys
+        base_keys, base_values = base_keys[keep], base_values[keep]
+    alive = kinds != DELETE
+    return segment_sum(
+        np.concatenate([base_keys, keys[alive]]),
+        np.concatenate([base_values, values[alive]]),
+    )

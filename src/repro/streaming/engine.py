@@ -4,36 +4,29 @@ The FaSTCC kernel's 2-D tiling (Section 4) makes contraction outputs
 *block-decomposable*: output tile ``(i, j)`` is a pure function of the
 left operand's tile-``i`` table, the right operand's tile-``j`` table,
 and the pinned plan.  A delta whose coordinates land in ``k`` left tiles
-therefore only perturbs the ``k x NR`` affected tile-pairs — the other
-``(NL - k) x NR`` output tiles are byte-for-byte unchanged.
+therefore only perturbs the ``k x NR`` affected tile-pairs.
 
-:class:`IncrementalEngine` exploits this: it registers a contraction
-once (pinning the plan and backend, caching canonical linearized
-operands, both tiled tables, and the raw linearized output rows), then
-services each :class:`~repro.streaming.delta.DeltaBatch` by
+:class:`IncrementalEngine` registers a contraction once (pinning the
+plan and backend) and keeps each operand's canonical linearized form
+beside its tiled tables, and the canonical output, with the offsets at
+which each tile's rows start.  A :class:`~repro.streaming.delta.DeltaBatch`
+is linearized on its own and applied to the touched tiles' rows only,
+the kernel re-runs on those rows against the partner's cached tables,
+and the touched tiles' output rows are replaced: a left tile's rows are
+one contiguous run of the output, so a left delta splices its fresh
+runs in with one copy of the output's coordinates and values; a right
+delta touches every left tile and re-sorts the kept and fresh rows.
+Each tile-pair task is deterministic given its two tables and the plan,
+so the output is **bit-identical** to a from-scratch contraction of the
+mutated operands under the same plan (``tests/streaming`` fuzzes this
+per backend).
 
-1. applying the delta to the canonical operand,
-2. *restricting* the new linearized operand to the touched tiles,
-3. re-running the kernel on the restriction against the partner's
-   cached full tables (only the affected tile-pairs produce tasks), and
-4. patching the cached output rows: unaffected tiles keep their stored
-   rows, affected tiles take the freshly computed ones.
-
-Because each tile-pair task is deterministic given its two tables and
-the plan, the patched output is **bit-identical** to a from-scratch
-contraction of the mutated operands under the same plan (the
-differential fuzzer in ``tests/streaming`` asserts this per backend).
-
-Past a staleness threshold the incremental path stops paying: the
-work it saves is priced through the paper's Section 5.1 density model
-(multiply-accumulate volume per tile plus the modeled patched-row
-count), and once the modeled incremental fraction exceeds the
-threshold the engine falls back to a full recompute.
-
-A delta computes everything it changes into locals first and commits
-them to the :class:`StreamState` in one final step, so a delta that
-raises (say, :class:`~repro.errors.WorkspaceLimitError` from the
-kernel) leaves the stream exactly as it was before the call.
+Past a staleness threshold, priced through the paper's Section 5.1
+density model, the engine falls back to a full recompute.  A delta
+builds its new operand, tables and output into locals and commits them
+in one final step, so a delta that raises (say,
+:class:`~repro.errors.WorkspaceLimitError` from the kernel) leaves the
+stream exactly as it was.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from repro.core.tiled_co import TiledTables, build_tiled_tables, tiled_co_contra
 from repro.errors import ConfigError, StreamError
 from repro.machine.specs import DESKTOP, MachineSpec
 from repro.runtime.signature import signature_for
-from repro.streaming.delta import DeltaBatch
+from repro.streaming.delta import DeltaBatch, apply_ops
 from repro.tensors.coo import COOTensor
 
 __all__ = [
@@ -68,9 +61,7 @@ __all__ = [
 #: recompute instead of tile patching (see Section 5.1 pricing below).
 DEFAULT_STALENESS_THRESHOLD = 0.35
 
-#: A stream's canonical output rows ``(l_idx, r_idx, values, output)``,
-#: sorted by ``l * R + r`` with ``output``'s columns index-aligned.
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray, COOTensor]
+_OTHER = {"left": "right", "right": "left"}
 
 
 def check_stream_limits(staleness_threshold: float) -> None:
@@ -102,38 +93,102 @@ class StreamStats:
     output_nnz: int
 
 
+def _offsets(keys: np.ndarray, step: int, num_tiles: int) -> np.ndarray:
+    """Where each tile's rows start in ``keys`` sorted by tile (tile ``t``
+    holds keys in ``[t * step, (t + 1) * step)``), plus the total."""
+    return np.searchsorted(keys, np.arange(num_tiles + 1) * np.int64(step))
+
+
+def _spans(keys: np.ndarray, step: int, tiles: np.ndarray) -> np.ndarray:
+    """``(2, k)`` start and stop of the listed tiles' rows in sorted ``keys``."""
+    return np.searchsorted(keys, np.stack([tiles, tiles + 1]) * np.int64(step))
+
+
+def _tile_rows(flat: tuple, cuts: np.ndarray, tiles: np.ndarray) -> tuple:
+    """The listed tiles' rows of a tile-sorted store, joined in tile order."""
+    bounds = cuts.tolist()
+    return tuple(
+        np.concatenate([a[..., bounds[t]:bounds[t + 1]] for t in tiles.tolist()],
+                       axis=-1)
+        for a in flat
+    )
+
+
+def _splice(
+    flat: tuple, cuts: np.ndarray, tiles: np.ndarray,
+    fresh: tuple, spans: np.ndarray,
+) -> tuple[tuple, np.ndarray]:
+    """Replace the listed tiles' rows of a tile-sorted store.
+
+    ``flat`` is a tuple of arrays sharing their last axis, tile ``t``'s
+    rows at ``cuts[t]:cuts[t + 1]``; ``fresh`` holds new rows for the
+    listed tiles only, ``tiles[k]``'s at ``spans[0, k]:spans[1, k]``.
+    Every other tile's rows are copied over as they are.  Returns the
+    new arrays and their cuts.
+    """
+    sizes = spans[1] - spans[0]
+    assert int(sizes.sum()) == fresh[0].shape[-1]  # no row escapes its tile
+    bounds, pieces, at = cuts.tolist(), [[] for _ in flat], 0
+    for t, a, b in zip(tiles.tolist(), *spans.tolist()):
+        for out, old, new in zip(pieces, flat, fresh):
+            out += [old[..., at:bounds[t]], new[..., a:b]]
+        at = bounds[t + 1]
+    for out, old in zip(pieces, flat):
+        out.append(old[..., at:])
+    new_sizes = np.diff(cuts)
+    new_sizes[tiles] = sizes
+    return (tuple(np.concatenate(p, axis=-1) for p in pieces),
+            np.concatenate([[0], np.cumsum(new_sizes)]))
+
+
+def _decode(spec: ContractionSpec, side: str, op: LinearizedOperand) -> COOTensor:
+    """A side's canonical COO tensor, decoded from its linearized operand."""
+    k = int(side == "right")
+    shape = (spec.left_shape, spec.right_shape)[k]
+    coords = np.empty((len(shape), op.nnz), dtype=np.int64)
+    coords[list((spec.left_external, spec.right_external)[k])] = (
+        (spec.lin_l, spec.lin_r)[k].decode(op.ext))
+    coords[[p[k] for p in spec.pairs]] = spec.lin_c.decode(op.con)
+    tensor = COOTensor(coords, op.values, shape, check=False)
+    keys = tensor.linearized()
+    # ``(ext, con)`` order is already row-major when the external modes lead.
+    return tensor if (keys[1:] > keys[:-1]).all() else tensor.sum_duplicates()
+
+
 class StreamState:
-    """Everything cached for one registered streaming contraction."""
+    """Everything cached for one registered streaming contraction.
+
+    Per side: the canonical COO tensor (``left``, ``right``), the
+    canonical linearized operand sorted by ``(ext, con)`` (``ops``) and
+    its tiled tables (``hl``, ``hr``).  The canonical output is sorted
+    by ``l * R + r``.  ``cuts`` holds where each tile's rows start:
+    ``cuts[side]`` in the side's operand, ``cuts["out"]`` (left tiles)
+    in the output.
+    """
 
     __slots__ = (
-        "name", "spec", "plan", "backend", "left", "right",
-        "left_op", "right_op", "hl", "hr",
-        "l_idx", "r_idx", "values", "output", "seq", "lock",
+        "name", "spec", "plan", "backend", "tensors", "ops", "tables",
+        "cuts", "output", "seq", "lock",
     )
 
     def __init__(self, name: str, spec: ContractionSpec, plan: Plan,
                  backend: KernelBackend):
-        self.name = name
-        self.spec = spec
-        self.plan = plan
-        self.backend = backend
-        self.left: COOTensor | None = None
-        self.right: COOTensor | None = None
-        self.left_op: LinearizedOperand | None = None
-        self.right_op: LinearizedOperand | None = None
-        self.hl: TiledTables | None = None
-        self.hr: TiledTables | None = None
-        # Linearized output rows, sorted by combined index l * R + r
-        # (row-major output order) — the patchable representation.
-        self.l_idx = np.empty(0, dtype=np.int64)
-        self.r_idx = np.empty(0, dtype=np.int64)
-        self.values = np.empty(0)
-        self.output: COOTensor | None = None
+        self.name, self.spec, self.plan, self.backend = name, spec, plan, backend
+        self.tensors: dict[str, COOTensor] = {}
+        self.ops: dict[str, LinearizedOperand] = {}
+        self.tables: dict[str, TiledTables] = {}
+        self.cuts: dict[str, np.ndarray] = {}
+        self.output = COOTensor.empty(spec.output_shape)
         # Deltas committed per side; the next one gets this number.
         self.seq = {"left": 0, "right": 0}
         # Held by apply_delta from its state read to its commit, so two
         # deltas on one stream never build on the same old state.
         self.lock = threading.Lock()
+
+    hl = property(lambda self: self.tables["left"])
+    hr = property(lambda self: self.tables["right"])
+    left = property(lambda self: self.tensors["left"])
+    right = property(lambda self: self.tensors["right"])
 
 
 class IncrementalEngine:
@@ -185,10 +240,6 @@ class IncrementalEngine:
         self._seconds = {"incremental": 0.0, "full": 0.0, "noop": 0.0}
         self._fraction_sum = 0.0
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-
     def register(
         self,
         name: str,
@@ -228,23 +279,19 @@ class IncrementalEngine:
         ) if not isinstance(self.backend, KernelBackend) else self.backend
 
         state = StreamState(str(name), spec, plan, backend)
-        state.left = left
-        state.right = right
-        state.left_op = spec.linearize_left(left).sum_duplicates()
-        state.right_op = spec.linearize_right(right).sum_duplicates()
-        state.hl = build_tiled_tables(
-            state.left_op, plan.tile_l, n_workers=self.n_workers,
-            counters=self.counters,
-        )
-        state.hr = build_tiled_tables(
-            state.right_op, plan.tile_r, n_workers=self.n_workers,
-            counters=self.counters,
-        )
-        (state.l_idx, state.r_idx, state.values,
-         state.output) = self._canonical_rows(
-            state, *self._contract_rows(
-                state, state.left_op, state.right_op, state.hl, state.hr
+        for side, tensor, tile in (
+            ("left", left, plan.tile_l), ("right", right, plan.tile_r),
+        ):
+            op = (spec.linearize_left(tensor) if side == "left"
+                  else spec.linearize_right(tensor)).sum_duplicates()
+            tables = build_tiled_tables(
+                op, tile, n_workers=self.n_workers, counters=self.counters,
             )
+            state.tensors[side], state.ops[side] = tensor, op
+            state.tables[side] = tables
+            state.cuts[side] = _offsets(op.ext, tile, tables.num_tiles)
+        state.output, state.cuts["out"] = self._output_of(
+            state, *self._contract_rows(state, "left", state.ops["left"], state.hl)
         )
 
         with self._lock:
@@ -267,126 +314,97 @@ class IncrementalEngine:
             )
         return state
 
-    # ------------------------------------------------------------------
-    # Kernel plumbing
-    # ------------------------------------------------------------------
-
     def _contract_rows(
-        self,
-        state: StreamState,
-        left_op: LinearizedOperand,
-        right_op: LinearizedOperand,
-        hl: TiledTables,
-        hr: TiledTables,
+        self, state: StreamState, side: str,
+        op: LinearizedOperand, tables: TiledTables,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the pinned-plan kernel; returns raw linearized rows."""
+        """Raw rows of the pinned-plan kernel, with ``side`` given by ``op``
+        and ``tables`` and the other side by the stream's own."""
+        other = _OTHER[side]
+        ops = {side: op, other: state.ops[other]}
+        hs = {side: tables, other: state.tables[other]}
         l_idx, r_idx, values, _ = tiled_co_contract(
-            left_op, right_op, state.plan,
+            ops["left"], ops["right"], state.plan,
             n_workers=self.n_workers, counters=self.counters,
-            tables=(hl, hr), backend=state.backend,
+            tables=(hs["left"], hs["right"]), backend=state.backend,
         )
         return l_idx, r_idx, values
 
-    def _canonical_rows(
+    def _output_of(
         self, state: StreamState,
         l_idx: np.ndarray, r_idx: np.ndarray, values: np.ndarray,
-    ) -> Rows:
-        """Canonicalize rows into row-major output order.
-
-        Sorting by the combined index ``l * R + r`` erases the
-        thread/merge order of the producing tasks, which is what makes
-        patched and from-scratch outputs comparable bit-for-bit.  The
-        returned rows and output columns stay index-aligned (patching
-        relies on it).
-        """
+    ) -> tuple[COOTensor, np.ndarray]:
+        """Kernel rows as the canonical output and its left-tile cuts."""
         keys, output = state.spec.canonical_output(l_idx, r_idx, values)
-        R = np.int64(state.spec.R)
-        l_out = keys // R
-        return l_out, keys - l_out * R, output.values, output
+        step = np.int64(state.plan.tile_l) * np.int64(state.spec.R)
+        return output, _offsets(keys, step, state.hl.num_tiles)
 
-    def _merge_rows(
-        self, state: StreamState, keep: np.ndarray,
-        l_new: np.ndarray, r_new: np.ndarray, v_new: np.ndarray,
-    ) -> Rows:
-        """The stored rows inside ``keep`` plus freshly contracted ones.
+    def _patch_operand(
+        self, state: StreamState, side: str, delta: DeltaBatch, tile: int,
+    ) -> tuple[LinearizedOperand, np.ndarray, np.ndarray, LinearizedOperand]:
+        """The side's operand with ``delta`` applied, its cuts, the tiles
+        the delta touched, and those tiles' new rows.
 
-        The kept rows are already in canonical order, so the canonical
-        sort of kept-then-new rows is a merge of two sorted runs; a new
-        row colliding with a kept one (no disjoint tile patch makes one)
-        is summed rather than lost.
+        Only the delta's own ops are linearized, and only the touched
+        tiles' rows are rebuilt (by :func:`apply_ops` on ``ext * C + con``
+        keys) and spliced in.
         """
-        return self._canonical_rows(
-            state,
-            np.concatenate([state.l_idx[keep], l_new]),
-            np.concatenate([state.r_idx[keep], r_new]),
-            np.concatenate([state.values[keep], v_new]),
+        spec, op, cuts = state.spec, state.ops[side], state.cuts[side]
+        raw = COOTensor(delta.coords, delta.values, delta.shape, check=False)
+        ops = spec.linearize_left(raw) if side == "left" else spec.linearize_right(raw)
+        C = np.int64(spec.C)
+        touched = np.unique(ops.ext // np.int64(tile))
+        ext, con, values = _tile_rows((op.ext, op.con, op.values), cuts, touched)
+        keys = ops.ext * C + ops.con
+        order = np.argsort(keys)
+        keys, values = apply_ops(
+            ext * C + con, values, keys[order], delta.kinds[order], ops.values[order],
         )
+        ext = keys // C
+        fresh = LinearizedOperand(
+            ext, keys - ext * C, values, op.ext_extent, op.con_extent
+        )
+        (ext, con, values), cuts = _splice(
+            (op.ext, op.con, op.values), cuts, touched,
+            (fresh.ext, fresh.con, fresh.values), _spans(fresh.ext, tile, touched),
+        )
+        new = LinearizedOperand(ext, con, values, op.ext_extent, op.con_extent)
+        return new, cuts, touched, fresh
 
-    def _splice_segments(
-        self, state: StreamState, touched: np.ndarray, tile: int,
+    def _replace_tile_rows(
+        self, state: StreamState, side: str, touched: np.ndarray,
         l_new: np.ndarray, r_new: np.ndarray, v_new: np.ndarray,
-    ) -> Rows:
-        """Left-side patch via contiguous-slice replacement.
+    ) -> tuple[COOTensor, np.ndarray]:
+        """The output with the touched tiles' rows replaced by fresh ones,
+        and its cuts.
 
-        The store is sorted by ``l * R + r`` with ``l`` as the primary
-        key, so every touched *left* tile's rows occupy one contiguous
-        slice, and the fresh tile blocks land exactly where the old
-        ones were.  The whole patch is then a handful of
-        ``concatenate`` copies — no keep-mask, no gather/scatter, and
-        only the new rows are delinearized.  (Right-side patches can't
-        use this: ``r`` is the secondary key, so a right tile's rows
-        interleave through the store.)
+        ``l`` is the output's primary key, so a left tile's rows are one
+        contiguous run and a left patch splices the fresh runs in.  A
+        right tile's rows interleave through every left tile, so a right
+        patch sends the kept and fresh rows through one
+        ``canonical_output`` sort (a counting sort on a dense output).
         """
-        new_combined = state.spec.output_keys(l_new, r_new)
-        order = np.argsort(new_combined, kind="stable")
-        new_combined = new_combined[order]
-        l_new, r_new, v_new = l_new[order], r_new[order], v_new[order]
-        tiles = np.sort(touched)
-        in_touched = np.isin(l_new // np.int64(tile), tiles)
-        if (
-            new_combined.size > 1
-            and not bool(np.all(np.diff(new_combined) > 0))
-        ) or not bool(np.all(in_touched)):
-            # Colliding keys or rows escaping the touched tiles: no
-            # tiled kernel produces either, but fall back to the
-            # generic full re-sort rather than corrupt the store.
-            keep = ~np.isin(state.l_idx // np.int64(tile), tiles)
-            return self._merge_rows(state, keep, l_new, r_new, v_new)
-        assert state.output is not None
-        new_coords = state.spec.lin_out.decode(new_combined)
-        pieces_l: list[np.ndarray] = []
-        pieces_r: list[np.ndarray] = []
-        pieces_v: list[np.ndarray] = []
-        pieces_c: list[np.ndarray] = []
-        cursor = 0
-        for t in tiles.tolist():
-            lo_l, hi_l = t * tile, (t + 1) * tile
-            lo, hi = np.searchsorted(state.l_idx, [lo_l, hi_l], side="left")
-            new_lo, new_hi = np.searchsorted(
-                l_new, [lo_l, hi_l], side="left"
+        spec, plan, out = state.spec, state.plan, state.output
+        R = np.int64(spec.R)
+        if side == "right":
+            stored = spec.lin_out.encode(out.coords)
+            l_old = stored // R
+            r_old = stored - l_old * R
+            stale = np.zeros(state.hr.num_tiles, dtype=bool)
+            stale[touched] = True
+            keep = ~stale[r_old // np.int64(plan.tile_r)]
+            return self._output_of(
+                state,
+                np.concatenate([l_old[keep], l_new]),
+                np.concatenate([r_old[keep], r_new]),
+                np.concatenate([out.values[keep], v_new]),
             )
-            pieces_l += [state.l_idx[cursor:lo], l_new[new_lo:new_hi]]
-            pieces_r += [state.r_idx[cursor:lo], r_new[new_lo:new_hi]]
-            pieces_v += [state.values[cursor:lo], v_new[new_lo:new_hi]]
-            pieces_c += [
-                state.output.coords[:, cursor:lo],
-                new_coords[:, new_lo:new_hi],
-            ]
-            cursor = int(hi)
-        pieces_l.append(state.l_idx[cursor:])
-        pieces_r.append(state.r_idx[cursor:])
-        pieces_v.append(state.values[cursor:])
-        pieces_c.append(state.output.coords[:, cursor:])
-        values = np.concatenate(pieces_v)
-        output = COOTensor(
-            np.concatenate(pieces_c, axis=1), values,
-            state.output.shape, check=False,
+        keys, fresh = spec.canonical_output(l_new, r_new, v_new)
+        (coords, values), cuts = _splice(
+            (out.coords, out.values), state.cuts["out"], touched,
+            (fresh.coords, fresh.values), _spans(keys, R * plan.tile_l, touched),
         )
-        return np.concatenate(pieces_l), np.concatenate(pieces_r), values, output
-
-    # ------------------------------------------------------------------
-    # Delta application
-    # ------------------------------------------------------------------
+        return COOTensor(coords, values, spec.output_shape, check=False), cuts
 
     def apply_delta(
         self,
@@ -403,11 +421,10 @@ class IncrementalEngine:
         use it to measure both paths on the same delta).  Returns the
         per-call :class:`StreamStats`.
 
-        The new operand, tables and output rows are computed into
-        locals and committed to the stream in one final step, so a
-        delta that raises leaves the stream's previous state intact.
-        Deltas on one stream run one at a time under the stream's lock;
-        deltas on different streams still run concurrently.
+        The new operand, tables and output are computed into locals and
+        committed in one final step, so a delta that raises leaves the
+        stream intact.  Deltas on one stream run one at a time under its
+        lock; deltas on different streams run concurrently.
         """
         if side not in ("left", "right"):
             raise ConfigError(f"side must be left|right, got {side!r}")
@@ -420,74 +437,50 @@ class IncrementalEngine:
             t0 = time.perf_counter()
             delta = delta.canonicalize()
 
-            spec = state.spec
-            plan = state.plan
-            if side == "left":
-                old_tensor, partner_op = state.left, state.right_op
-                tile, num_tiles = plan.tile_l, state.hl.num_tiles
-                own_ext, partner_ext = spec.L, spec.R
-            else:
-                old_tensor, partner_op = state.right, state.left_op
-                tile, num_tiles = plan.tile_r, state.hr.num_tiles
-                own_ext, partner_ext = spec.R, spec.L
-            assert old_tensor is not None and partner_op is not None
+            spec, plan = state.spec, state.plan
+            tile = plan.tile_l if side == "left" else plan.tile_r
+            own_ext, partner_ext = (spec.L, spec.R) if side == "left" else (spec.R, spec.L)
+            num_tiles = state.tables[side].num_tiles
+            partner_nnz = float(state.tables[_OTHER[side]].nnz)
 
             mode, n_touched, fraction = "noop", 0, 0.0
             if delta.n_ops:
-                # Touched tiles: the delta's coordinates mapped through the
-                # spec's external linearizer onto this side's tile grid.
-                if side == "left":
-                    ext = spec.lin_l.encode(delta.coords[list(spec.left_external), :])
-                else:
-                    ext = spec.lin_r.encode(delta.coords[list(spec.right_external), :])
-                touched = np.unique(ext // np.int64(tile))
+                op, op_cuts, touched, fresh = self._patch_operand(
+                    state, side, delta, tile
+                )
                 n_touched = int(touched.shape[0])
 
-                new_tensor = delta.apply(old_tensor)
-                new_op = (
-                    spec.linearize_left(new_tensor) if side == "left"
-                    else spec.linearize_right(new_tensor)
-                ).sum_duplicates()
-
                 # -- Section 5.1 pricing of the incremental path ------------
-                # Work is modeled as multiply-accumulate volume: the kernel's
-                # per-tile-pair cost bound is nnz(HL_i) * nnz(HR_j), so the
-                # affected fraction is (nnz in touched tiles) / (total nnz)
-                # of the mutated side (the partner's volume cancels), plus
-                # the modeled cost of re-draining the patched output rows —
-                # the plan's estimated output density (Eq. 5.1) times the
-                # patched index space — against the full output's modeled
-                # row count.
-                tile_of = new_op.ext // np.int64(tile)
-                per_tile = np.bincount(tile_of, minlength=num_tiles)
-                affected_nnz = int(per_tile[touched].sum())
-                mults_full = float(new_op.nnz) * float(partner_op.nnz)
-                mults_inc = float(affected_nnz) * float(partner_op.nnz)
-                rows_full = plan.est_output_density * float(own_ext) * float(partner_ext)
-                rows_inc = plan.est_output_density * float(
-                    min(n_touched * tile, own_ext)
-                ) * float(partner_ext)
-                denom = mults_full + rows_full
-                fraction = (mults_inc + rows_inc) / denom if denom > 0 else 1.0
+                # Work is multiply-accumulate volume (a tile pair costs
+                # nnz(HL_i) * nnz(HR_j), so the partner's volume cancels)
+                # plus the re-drained output rows, modeled as the plan's
+                # output density (Eq. 5.1) times the patched index space.
+                density = plan.est_output_density
+                full = float(op.nnz) * partner_nnz + (
+                    density * float(own_ext) * float(partner_ext))
+                inc = float(fresh.nnz) * partner_nnz + density * float(
+                    min(n_touched * tile, own_ext)) * float(partner_ext)
+                fraction = inc / full if full > 0 else 1.0
 
                 mode = "incremental" if fraction <= self.staleness_threshold else "full"
                 if force is not None:
                     mode = force
                 if mode == "incremental":
-                    tables, rows = self._patch(state, side, new_op, touched, tile)
+                    tables, output, out_cuts = self._patch(
+                        state, side, op.nnz, fresh, touched, tile
+                    )
                 else:
-                    tables, rows = self._rebuild(state, side, new_op, tile)
+                    tables, output, out_cuts = self._rebuild(state, side, op, tile)
+                tensor = _decode(spec, side, op)
 
             # -- Commit: nothing above wrote to the stream's state ----------
             if mode != "noop" and self.runtime is not None:
-                self.runtime.invalidate_operand(old_tensor)
+                self.runtime.invalidate_operand(state.tensors[side])
             with self._lock:
                 if mode != "noop":
-                    if side == "left":
-                        state.left, state.left_op, state.hl = new_tensor, new_op, tables
-                    else:
-                        state.right, state.right_op, state.hr = new_tensor, new_op, tables
-                    state.l_idx, state.r_idx, state.values, state.output = rows
+                    state.tensors[side], state.ops[side] = tensor, op
+                    state.tables[side], state.cuts[side] = tables, op_cuts
+                    state.output, state.cuts["out"] = output, out_cuts
                 if mode == "incremental":
                     self.counters.stream_incremental += 1
                 elif mode == "full":
@@ -497,7 +490,7 @@ class IncrementalEngine:
                     tiles_touched=n_touched, tiles_total=num_tiles,
                     modeled_fraction=float(fraction),
                     seconds=time.perf_counter() - t0,
-                    output_nnz=state.output.nnz if state.output is not None else 0,
+                    output_nnz=state.output.nnz,
                 )
                 state.seq[side] += 1
                 self._deltas[mode] += 1
@@ -506,71 +499,37 @@ class IncrementalEngine:
             return stats
 
     def _patch(
-        self,
-        state: StreamState,
-        side: str,
-        new_op: LinearizedOperand,
-        touched: np.ndarray,
-        tile: int,
-    ) -> tuple[TiledTables, Rows]:
-        """Re-contract only the touched tiles; returns patched tables and rows."""
-        mask = np.isin(new_op.ext // np.int64(tile), touched)
-        restricted = LinearizedOperand(
-            ext=new_op.ext[mask], con=new_op.con[mask],
-            values=new_op.values[mask],
-            ext_extent=new_op.ext_extent, con_extent=new_op.con_extent,
+        self, state: StreamState, side: str, nnz: int,
+        fresh: LinearizedOperand, touched: np.ndarray, tile: int,
+    ) -> tuple[TiledTables, COOTensor, np.ndarray]:
+        """Re-contract only the touched tiles, whose rows are ``fresh``;
+        returns patched tables (``nnz`` in all), the output and its cuts."""
+        h_fresh = build_tiled_tables(
+            fresh, tile, n_workers=self.n_workers, counters=self.counters
         )
-        h_restricted = build_tiled_tables(
-            restricted, tile, n_workers=self.n_workers, counters=self.counters
+        output, out_cuts = self._replace_tile_rows(
+            state, side, touched,
+            *self._contract_rows(state, side, fresh, h_fresh),
         )
-        assert state.left_op is not None and state.right_op is not None
-        assert state.hl is not None and state.hr is not None
-        if side == "left":
-            l_new, r_new, v_new = self._contract_rows(
-                state, restricted, state.right_op, h_restricted, state.hr
-            )
-            rows = self._splice_segments(state, touched, tile, l_new, r_new, v_new)
-            old = state.hl
-        else:
-            l_new, r_new, v_new = self._contract_rows(
-                state, state.left_op, restricted, state.hl, h_restricted
-            )
-            keep = ~np.isin(state.r_idx // np.int64(tile), touched)
-            rows = self._merge_rows(state, keep, l_new, r_new, v_new)
-            old = state.hr
+        old = state.tables[side]
         tables = list(old.tables)
         for t in touched.tolist():
-            tables[t] = h_restricted.tables[t]
-        return TiledTables(tile, old.num_tiles, tables, new_op.nnz), rows
+            tables[t] = h_fresh.tables[t]
+        return TiledTables(tile, old.num_tiles, tables, nnz), output, out_cuts
 
     def _rebuild(
-        self,
-        state: StreamState,
-        side: str,
-        new_op: LinearizedOperand,
-        tile: int,
-    ) -> tuple[TiledTables, Rows]:
+        self, state: StreamState, side: str, op: LinearizedOperand, tile: int,
+    ) -> tuple[TiledTables, COOTensor, np.ndarray]:
         """Full recompute: fresh tables for the mutated side, full kernel."""
         h_new = build_tiled_tables(
-            new_op, tile, n_workers=self.n_workers, counters=self.counters
+            op, tile, n_workers=self.n_workers, counters=self.counters
         )
-        assert state.left_op is not None and state.right_op is not None
-        assert state.hl is not None and state.hr is not None
-        if side == "left":
-            raw = self._contract_rows(state, new_op, state.right_op, h_new, state.hr)
-        else:
-            raw = self._contract_rows(state, state.left_op, new_op, state.hl, h_new)
-        return h_new, self._canonical_rows(state, *raw)
-
-    # ------------------------------------------------------------------
-    # Results and maintenance
-    # ------------------------------------------------------------------
+        return (h_new, *self._output_of(
+            state, *self._contract_rows(state, side, op, h_new)))
 
     def result(self, name: str) -> COOTensor:
         """The stream's current canonical output."""
-        state = self._state(name)
-        assert state.output is not None
-        return state.output
+        return self._state(name).output
 
     def invalidate(self, name: str) -> int:
         """Drop a stream's cached state; returns streams dropped (1 or 0)."""

@@ -266,8 +266,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize("side,force,target", [
         ("left", "incremental", "tiled_co_contract"),   # restricted tables
         ("right", "incremental", "tiled_co_contract"),  # restricted tables
-        ("left", "incremental", "_splice_segments"),    # left splice
-        ("right", "incremental", "_merge_rows"),        # right merge
+        ("left", "incremental", "_replace_tile_rows"),  # left splice
+        ("right", "incremental", "_replace_tile_rows"),  # right merge
         ("left", "full", "tiled_co_contract"),          # _rebuild kernel
         ("right", "full", "tiled_co_contract"),         # _rebuild kernel
     ])
@@ -311,7 +311,7 @@ class TestFaultInjection:
         delta_a = self.delta_for("left", 1)
         delta_b = self.delta_for("left", 2 * FAULT_TILE + 1)
         with monkeypatch.context() as m:
-            m.setattr(engine, "_splice_segments", fail)
+            m.setattr(engine, "_replace_tile_rows", fail)
             with pytest.raises(WorkspaceLimitError):
                 engine.apply_delta("s", delta_a, force="incremental")
         engine.apply_delta("s", delta_b, force="incremental")
@@ -366,3 +366,97 @@ class TestConcurrentDeltas:
         assert output_bytes(state.left) == output_bytes(mutated)
         ref = repro.contract(mutated, right, PAIRS, plan=state.plan)
         assert output_bytes(engine.result("s")) == output_bytes(ref)
+
+
+def tile_rows(flat, cuts):
+    """Each tile's rows of a tile-sorted store, as bytes."""
+    return [flat[..., a:b].tobytes() for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class TestTileRows:
+    """The stream keeps per-tile offsets: a delta replaces only its tiles' rows."""
+
+    def setup_stream(self):
+        engine = make_engine()
+        left, right, _ = register(engine, tile_size=FAULT_TILE)
+        return engine, engine._state("s"), left, right
+
+    def assert_cuts_mark_tiles(self, state):
+        out, cuts = state.output, state.cuts["out"]
+        assert cuts[0] == 0 and cuts[-1] == out.nnz
+        for t, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            assert (out.coords[0, a:b] // state.plan.tile_l == t).all(), t
+        for side, tile in (("left", state.plan.tile_l), ("right", state.plan.tile_r)):
+            op, cuts = state.ops[side], state.cuts[side]
+            assert cuts[0] == 0 and cuts[-1] == op.nnz
+            for t, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+                assert (op.ext[a:b] // tile == t).all(), (side, t)
+
+    def test_one_tile_left_delta_keeps_untouched_tile_rows(self):
+        engine, state, left, right = self.setup_stream()
+        out_rows = tile_rows(state.output.coords, state.cuts["out"])
+        op_rows = tile_rows(state.ops["left"].ext, state.cuts["left"])
+        partner = (state.ops["right"], state.hr, state.cuts["right"], state.right)
+        delta = TestFaultInjection().delta_for("left", 2 * FAULT_TILE + 1)
+        stats = engine.apply_delta("s", delta, force="incremental")
+        assert (stats.mode, stats.tiles_touched) == ("incremental", 1)
+        new_out = tile_rows(state.output.coords, state.cuts["out"])
+        new_op = tile_rows(state.ops["left"].ext, state.cuts["left"])
+        for t in range(state.hl.num_tiles):
+            assert (new_out[t] == out_rows[t]) == (t != 2), t
+            assert (new_op[t] == op_rows[t]) == (t != 2), t
+        assert all(a is b for a, b in zip(
+            (state.ops["right"], state.hr, state.cuts["right"], state.right),
+            partner))
+        self.assert_cuts_mark_tiles(state)
+        ref = repro.contract(delta.apply(left), right, PAIRS, plan=state.plan)
+        assert output_bytes(engine.result("s")) == output_bytes(ref)
+
+    def test_result_is_the_committed_output(self):
+        engine, state, left, right = self.setup_stream()
+        first = engine.result("s")
+        assert engine.result("s") is first
+        for col in (1, 5 * FAULT_TILE + 2):
+            delta = TestFaultInjection().delta_for("left", col)
+            stats = engine.apply_delta("s", delta, force="incremental")
+            left = delta.apply(left)
+            out = engine.result("s")
+            assert out is not first and engine.result("s") is out
+            assert stats.output_nnz == out.nnz
+            ref = repro.contract(left, right, PAIRS, plan=state.plan)
+            assert output_bytes(out) == output_bytes(ref)
+            first = out
+
+    @pytest.mark.parametrize("side,force", [
+        ("left", "incremental"), ("right", "incremental"),
+        ("left", "full"), ("right", "full"),
+    ])
+    def test_cuts_follow_every_path(self, side, force):
+        engine, state, left, right = self.setup_stream()
+        delta = TestFaultInjection().delta_for(side, 17)
+        stats = engine.apply_delta("s", delta, side=side, force=force)
+        assert stats.output_nnz == engine.result("s").nnz
+        self.assert_cuts_mark_tiles(state)
+        if side == "left":
+            left = delta.apply(left)
+        else:
+            right = delta.apply(right)
+        ref = repro.contract(left, right, PAIRS, plan=state.plan)
+        assert output_bytes(engine.result("s")) == output_bytes(ref)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_raised_delta_leaves_every_state_object(self, monkeypatch, side):
+        engine, state, _, _ = self.setup_stream()
+        kept = (state.output, dict(state.tensors), dict(state.ops),
+                dict(state.tables), dict(state.cuts))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_replace_tile_rows", fail)
+            with pytest.raises(WorkspaceLimitError):
+                engine.apply_delta("s", TestFaultInjection().delta_for(side, 3),
+                                   side=side, force="incremental")
+        assert state.output is kept[0]
+        for now, before in zip(
+            (state.tensors, state.ops, state.tables, state.cuts), kept[1:],
+        ):
+            assert now.keys() == before.keys()
+            assert all(now[k] is before[k] for k in now)
